@@ -81,7 +81,7 @@ let counts_of_summary ~backend (s : Layouter.summary) =
     +. (float_of_int n_lk *. 3.0)
     +. (float_of_int (n_pm + d - 3) /. float_of_int (d - 2))
   in
-  let ext_factor = 1 lsl ceil_log2 d in
+  let ext_factor = Zkml_plonkish.Circuit.ext_factor d in
   let n_msm =
     n_fft +. float_of_int (match backend with Kzg -> d - 1 | Ipa -> d)
   in

@@ -59,6 +59,16 @@ let max_degree t =
   let d = List.fold_left (fun acc g -> max acc (gate_degree g)) 3 t.gates in
   List.fold_left (fun acc l -> max acc (lookup_degree l)) d t.lookups
 
+(** Blow-up of the quotient's extended domain over the 2^k rows for a
+    constraint system of degree [d]. An honest quotient h = C / Z_H has
+    degree at most d(n-1) - n < (d-1)n, so (d-1)n coset evaluations
+    determine it; the factor is the next power of two at or above
+    [d - 1], halo2's [extended_k] rule. Keygen and the cost model both
+    size the domain through this one function. *)
+let ext_factor d =
+  let rec go f = if f >= d - 1 then f else go (2 * f) in
+  go 1
+
 (** Chunk width of the permutation argument, as in halo2: each grand
     product covers [max_degree - 2] columns. *)
 let permutation_chunk t = max_degree t - 2

@@ -49,10 +49,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
             inverted by one batched inversion at keygen) *)
   }
 
-  let next_pow2 x =
-    let rec go k = if k >= x then k else go (2 * k) in
-    go 1
-
   module Pool = Zkml_util.Pool
 
   (* Union-find for copy-constraint equivalence classes. *)
@@ -164,8 +160,11 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     let d_max = Circuit.max_degree circuit in
     let chunk = Circuit.permutation_chunk circuit in
     let n_chunks = if m = 0 then 0 else (m + chunk - 1) / chunk in
-    let ext_factor = next_pow2 d_max in
-    let ext_domain = P.Domain.create (circuit.k + (let rec lg x = if x <= 1 then 0 else 1 + lg (x / 2) in lg ext_factor)) in
+    let ext_factor = Circuit.ext_factor d_max in
+    let ext_domain =
+      let rec lg f = if f <= 1 then 0 else 1 + lg (f / 2) in
+      P.Domain.create (circuit.k + lg ext_factor)
+    in
     let eval_prog =
       (* lower the whole quotient combination once; the program rides in
          the keys (and hence the serve artifact cache) *)

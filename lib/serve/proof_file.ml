@@ -1,4 +1,4 @@
-(** The `zkml-proof v1` file format: writer, total parser, prover and
+(** The `zkml-proof v2` file format: writer, total parser, prover and
     verdict classifier.
 
     One implementation serves every entry point — `zkml prove`/`verify`,
@@ -28,6 +28,8 @@ type t = {
   pf_proof : string;
 }
 
+let magic = "zkml-proof v2"
+
 (* Sanity bounds on header fields, so a hostile header cannot demand a
    huge circuit rebuild before the proof is even looked at. The zoo's
    real plans sit far inside all of them. *)
@@ -38,7 +40,7 @@ let max_table_bits = 20
 let to_string ~backend ~model_name ~(cfg : Fx.config) ~spec ~ncols ~k
     ~instance_ints ~proof_hex =
   let buf = Buffer.create 1024 in
-  Printf.bprintf buf "zkml-proof v1\n";
+  Printf.bprintf buf "%s\n" magic;
   Printf.bprintf buf "model %s\n" model_name;
   Printf.bprintf buf "backend %s\n" (Backends.backend_name backend);
   Printf.bprintf buf "spec %s\n" (Spec.to_string spec);
@@ -75,8 +77,8 @@ let of_string text =
     | [] -> fail Bad_header "empty file"
     | header :: rest ->
         let* () =
-          if header = "zkml-proof v1" then Ok ()
-          else fail ~offset:(Line 1) Bad_header "expected 'zkml-proof v1'"
+          if header = magic then Ok ()
+          else failf ~offset:(Line 1) Bad_header "expected %S" magic
         in
         (* fields must appear exactly once, in the writer's order — a
            key-value map would classify reordered lines as equal to the

@@ -75,6 +75,16 @@ let test_all_models_serialize () =
         (Zkml_nn.Quant_exec.output_values e2 g))
     (Zoo.all ())
 
+(* The quotient's extended domain has next_pow2 (d_max - 1) cosets of
+   the 2^k rows, one h commitment each. *)
+let check_h_count m ~(plan : Opt.plan) ~h_commits =
+  let d_max = plan.Opt.summary.Zkml_compiler.Layouter.max_gate_degree in
+  let rec next_pow2 x f = if f >= x then f else next_pow2 x (2 * f) in
+  Alcotest.(check int)
+    (m.Zoo.name ^ " h commitments")
+    (next_pow2 (d_max - 1) 1)
+    h_commits
+
 (* the small models prove quickly enough for the unit suite; the full
    Table 6/7 sweep lives in bench/main.exe *)
 let prove_model backend m =
@@ -84,12 +94,16 @@ let prove_model backend m =
         Pipe.run ~cfg:m.Zoo.cfg ~params:kzg_params m.Zoo.graph
           (Zoo.sample_inputs m)
       in
+      check_h_count m ~plan:r.Pipe.plan
+        ~h_commits:(Array.length r.Pipe.proof.Pipe.Proto.h_commits);
       r.Pipe.verified
   | `Ipa ->
       let r =
         Pipe_ipa.run ~cfg:m.Zoo.cfg ~params:ipa_params m.Zoo.graph
           (Zoo.sample_inputs m)
       in
+      check_h_count m ~plan:r.Pipe_ipa.plan
+        ~h_commits:(Array.length r.Pipe_ipa.proof.Pipe_ipa.Proto.h_commits);
       r.Pipe_ipa.verified
 
 let test_small_models_prove_kzg () =

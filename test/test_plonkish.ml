@@ -4,6 +4,17 @@
 
 open Zkml_plonkish
 
+let with_jobs j f =
+  let module Pool = Zkml_util.Pool in
+  let saved = Pool.jobs () in
+  Pool.set_jobs j;
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
+
+(* the extended-domain rule, restated independently of Circuit *)
+let next_pow2 x =
+  let rec go f = if f >= x then f else go (2 * f) in
+  go 1
+
 module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
   module Proto = Protocol.Make (Scheme)
   module F = Proto.F
@@ -321,6 +332,117 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
     Alcotest.(check bool) "degree >= 3" true (st.Circuit.s_max_degree >= 3);
     Alcotest.(check int) "u" u (Circuit.last_row circuit)
 
+  (* Degree boundaries of the extended domain: a gate of degree [d]
+     (s * (a^(d-1) - b)), a copy of b into the instance column and, from
+     d = 5 up, the zoo's gated lookup (degree 5). The quotient runs on
+     ext_factor = next_pow2 (d - 1) cosets of the 2^k rows. *)
+  let degree_circuit d : F.t Circuit.t =
+    let open Expr in
+    let rec pow e j = if j = 1 then e else Mul (e, pow e (j - 1)) in
+    {
+      k;
+      num_fixed = 3;
+      is_selector = [| true; false; true |];
+      advice_phases = [| 0; 0 |];
+      num_instance = 1;
+      num_challenges = 0;
+      gates =
+        [ {
+            gate_name = Printf.sprintf "pow-%d" (d - 1);
+            polys = [ Mul (fixed 0, Sub (pow (advice 0) (d - 1), advice 1)) ];
+          }
+        ];
+      lookups =
+        (if d < 5 then []
+         else
+           [ {
+               lookup_name = "range";
+               inputs = [ Mul (fixed 2, advice 0) ];
+               tables = [ fixed 1 ];
+             }
+           ]);
+      copies = [ ((Circuit.Col_advice 1, 0), (Circuit.Col_instance 0, 0)) ];
+      blinding;
+    }
+
+  (* a on the gated rows 0, 1, 2 *)
+  let degree_values = [ 2; 3; 5 ]
+
+  let degree_fixed () =
+    let s = Array.make n F.zero
+    and table = Array.init n (fun i -> F.of_int (min i 15))
+    and s_lk = Array.make n F.zero in
+    List.iteri
+      (fun row _ ->
+        s.(row) <- F.one;
+        s_lk.(row) <- F.one)
+      degree_values;
+    [| s; table; s_lk |]
+
+  let degree_advice d =
+    let a = Array.make n F.zero and b = Array.make n F.zero in
+    List.iteri
+      (fun row v ->
+        a.(row) <- F.of_int v;
+        b.(row) <- F.pow_int (F.of_int v) (d - 1))
+      degree_values;
+    [| a; b |]
+
+  let test_degree_boundaries () =
+    List.iter
+      (fun (d, factor) ->
+        let circuit = degree_circuit d in
+        Alcotest.(check int)
+          (Printf.sprintf "d=%d: max degree" d) d (Circuit.max_degree circuit);
+        let keys = Proto.keygen params circuit ~fixed:(degree_fixed ()) in
+        Alcotest.(check int)
+          (Printf.sprintf "d=%d: ext_factor" d) factor keys.Proto.ext_factor;
+        let adv = degree_advice d in
+        let instance = instance_cols adv.(1).(0) in
+        let prove adv =
+          Proto.prove params keys ~instance
+            ~advice:(fun _ -> Array.map Array.copy adv)
+            ~rng:(Zkml_util.Rng.create 7L)
+        in
+        let bytes =
+          List.map
+            (fun jobs ->
+              with_jobs jobs @@ fun () ->
+              let what = Printf.sprintf "d=%d jobs=%d" d jobs in
+              let proof = prove adv in
+              Alcotest.(check int)
+                (what ^ ": h commitments") factor
+                (Array.length proof.Proto.h_commits);
+              Alcotest.(check bool)
+                (what ^ ": accepted") true
+                (Proto.verify params keys ~instance proof);
+              (* one row off: b at the second gated row *)
+              let bad = Array.map Array.copy adv in
+              bad.(1).(1) <- F.add bad.(1).(1) F.one;
+              Alcotest.(check bool)
+                (what ^ ": gate violation rejected") false
+                (Proto.verify params keys ~instance (prove bad));
+              Proto.proof_to_bytes proof)
+            [ 1; 4 ]
+        in
+        (* the reference interpreter agrees with the compiled evaluator
+           at this factor; ZKML_EVAL can only be overwritten, and ""
+           selects the default *)
+        let interp =
+          Unix.putenv "ZKML_EVAL" "interp";
+          Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "")
+          @@ fun () -> Proto.proof_to_bytes (prove adv)
+        in
+        List.iter2
+          (fun what b ->
+            Alcotest.(check bool)
+              (Printf.sprintf "d=%d: %s bytes equal compiled jobs=1" d what)
+              true
+              (String.equal (List.hd bytes) b))
+          [ "compiled jobs=4"; "interp jobs=1" ]
+          [ List.nth bytes 1; interp ])
+      [ (3, 2); (4, 4); (5, 4); (9, 8) ]
+
   let suite =
     [ Alcotest.test_case "completeness" `Quick test_completeness;
       Alcotest.test_case "wrong_instance" `Quick test_wrong_instance;
@@ -331,7 +453,8 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
       Alcotest.test_case "proof_bytes" `Quick test_proof_bytes;
       Alcotest.test_case "challenge_phase" `Quick test_challenge_phase;
       Alcotest.test_case "multirow" `Quick test_multirow;
-      Alcotest.test_case "stats" `Quick test_stats
+      Alcotest.test_case "stats" `Quick test_stats;
+      Alcotest.test_case "degree_boundaries" `Quick test_degree_boundaries
     ]
 end
 
@@ -340,10 +463,91 @@ module Kzg_suite = Make_suite (Zkml_commit.Kzg.Make (Sim61))
 module Ipa_suite = Make_suite (Zkml_commit.Ipa.Make (Sim61))
 module Kzg_pallas_suite = Make_suite (Zkml_commit.Kzg.Make (Zkml_ec.Pallas))
 
+(* Pinned proof digests: SHA-256 of the proof bytes of two zoo models on
+   a fixed layout (default spec, 16 columns, smallest k) and a fixed
+   prover seed, at jobs 1 and 4. A refactor that changes one proof byte
+   fails here; a deliberate change of the proof format re-pins these
+   values and bumps the proof-file version. *)
+module Pinned (Scheme : Zkml_commit.Scheme_intf.S) = struct
+  module Pipe = Zkml_compiler.Pipeline.Make (Scheme)
+  module Zoo = Zkml_models.Zoo
+  module Spec = Zkml_compiler.Layout_spec
+
+  let params = lazy (Scheme.setup ~max_size:(1 lsl 12) ~seed:"pinned-digests")
+  let spec = Spec.default
+  let ncols = 16
+
+  let digest (m : Zoo.model) =
+    let params = Lazy.force params and cfg = m.Zoo.cfg in
+    let k =
+      let qinputs =
+        List.map
+          (Zkml_tensor.Tensor.map (Zkml_fixed.Fixed.quantize cfg))
+          (Zoo.sample_inputs m)
+      in
+      let exec = Zkml_nn.Quant_exec.run cfg m.Zoo.graph ~inputs:qinputs in
+      let lowered =
+        Zkml_compiler.Lower.lower ~spec ~cfg ~ncols ~counting:true m.Zoo.graph
+          exec
+      in
+      Zkml_compiler.Layouter.optimal_k lowered.Zkml_compiler.Lower.layouter
+        ~blinding:Zkml_compiler.Optimizer.blinding
+    in
+    let keys = Pipe.rebuild_keys params ~spec ~ncols ~k ~cfg m.Zoo.graph in
+    let w = Pipe.witness ~spec ~ncols ~k ~cfg m.Zoo.graph (Zoo.sample_inputs m) in
+    let proof =
+      Pipe.Proto.prove params keys ~instance:w.Pipe.w_instance
+        ~advice:(fun _ -> Array.map Array.copy w.Pipe.w_advice)
+        ~rng:(Zkml_util.Rng.create 42L)
+    in
+    Alcotest.(check int)
+      (m.Zoo.name ^ " ext_factor")
+      (next_pow2 (keys.Pipe.Proto.d_max - 1))
+      keys.Pipe.Proto.ext_factor;
+    Alcotest.(check int)
+      (m.Zoo.name ^ " h commitments") keys.Pipe.Proto.ext_factor
+      (Array.length proof.Pipe.Proto.h_commits);
+    Alcotest.(check bool)
+      (m.Zoo.name ^ " verifies") true
+      (Pipe.Proto.verify params keys ~instance:w.Pipe.w_instance proof);
+    Zkml_util.Sha256.hex_digest (Pipe.Proto.proof_to_bytes proof)
+
+  let test pins () =
+    List.iter
+      (fun (m, expected) ->
+        List.iter
+          (fun jobs ->
+            let got = with_jobs jobs (fun () -> digest m) in
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s jobs=%d" m.Zoo.name Scheme.name jobs)
+              expected got)
+          [ 1; 4 ])
+      pins
+end
+
+module Kzg_pinned = Pinned (Zkml_commit.Kzg.Make (Sim61))
+module Ipa_pinned = Pinned (Zkml_commit.Ipa.Make (Sim61))
+
+let pinned_kzg =
+  [ ( Zkml_models.Zoo.mnist (),
+      "d49fb3dc12f5b3b645e33a1e8bbd59f84d0c167d6a8eac6a99c3bbae6524c236" );
+    ( Zkml_models.Zoo.gpt2 (),
+      "73ac7881a5f31da51bde6f3dde02e111d990c9bc0f21fd981c9dc0a6ced5b9ee" ) ]
+
+let pinned_ipa =
+  [ ( Zkml_models.Zoo.mnist (),
+      "c3a32be52af29695c533bf1fe8064ab1e48d107c607612fbb2e140559ff33a39" );
+    ( Zkml_models.Zoo.gpt2 (),
+      "fa3f20bc6cc62bdd3266b6cfa45de82f7b6b701a87031dfe89884a6e8c75fdcd" ) ]
+
 let () =
   Alcotest.run "plonkish"
     [ ("kzg_fp61", Kzg_suite.suite);
       ("ipa_fp61", Ipa_suite.suite);
+      ( "pinned_digests",
+        [ Alcotest.test_case "kzg" `Slow (Kzg_pinned.test pinned_kzg);
+          Alcotest.test_case "ipa" `Slow (Ipa_pinned.test pinned_ipa)
+        ] );
       ( "kzg_pallas",
         [ Alcotest.test_case "completeness" `Slow
             Kzg_pallas_suite.test_completeness
