@@ -27,6 +27,16 @@
      what the body raises" contract as a plain for loop, up to choice
      among simultaneous failures.
 
+   - Minor heaps: with more than one domain every minor collection is
+     a stop-the-world barrier across all of them, and the field kernels
+     fill the runtime's default 256k-word minor heap thousands of times
+     per second. On a loaded host each barrier waits for whichever
+     domain's core is descheduled, so prove times swing with the load.
+     The pool grows the minor heap of every domain that runs regions
+     (the spawning caller and each worker) to [minor_heap_words], which
+     roughly halves the barrier count. [Gc.set] only resizes the calling
+     domain's heap, hence the call on each side.
+
    - Tracing: worker domains have no Obs sink, so each region forks an
      [Obs.Par] capture handle; worker bodies run inside
      [Zkml_obs.Obs.Par.worker_run] and the caller splices captures back in
@@ -67,10 +77,19 @@ type pool = {
 
 let the_pool : pool option ref = ref None
 
+(* 8 MB per domain; never shrinks a heap set larger (OCAMLRUNPARAM=s) *)
+let minor_heap_words = 1 lsl 20
+
+let grow_minor_heap () =
+  let g = Gc.get () in
+  if g.Gc.minor_heap_size < minor_heap_words then
+    Gc.set { g with Gc.minor_heap_size = minor_heap_words }
+
 (* true while a region is running anywhere; inner calls go sequential *)
 let busy = Atomic.make false
 
 let worker_loop p slot =
+  grow_minor_heap ();
   let last = ref 0 in
   let continue_ = ref true in
   while !continue_ do
@@ -129,6 +148,7 @@ let get_pool () =
           domains = [];
         }
       in
+      grow_minor_heap ();
       p.domains <-
         List.init nworkers (fun i ->
             Domain.spawn (fun () -> worker_loop p (i + 1)));
