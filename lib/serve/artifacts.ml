@@ -34,7 +34,7 @@ open Err
 
 (* Bumping this invalidates every cached artifact (the version feeds the
    content hash as well as the file header). *)
-let cache_version = "zkml-artifact v5"
+let cache_version = "zkml-artifact v6"
 
 let cache_dir () =
   match Sys.getenv_opt "ZKML_CACHE_DIR" with
@@ -157,7 +157,7 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
   (* Disk format: a line-oriented header followed by the marshalled
      entry, length-prefixed and digest-protected:
 
-       zkml-artifact v5
+       zkml-artifact v6
        backend <name>
        key <hex>
        payload <length> <sha256-hex>

@@ -265,7 +265,7 @@ let test_cache_corruption_is_typed () =
   expect_corrupt "bit flip" (Bytes.to_string flipped);
   (* truncations at every interesting boundary *)
   expect_corrupt "empty file" "";
-  expect_corrupt "header only" "zkml-artifact v5\n";
+  expect_corrupt "header only" "zkml-artifact v6\n";
   expect_corrupt "half file" (String.sub original 0 (String.length original / 2));
   expect_corrupt "one byte short"
     (String.sub original 0 (String.length original - 1));
