@@ -1403,7 +1403,7 @@ let prove_cmd =
        ~doc:
          "Compile, optimize, prove; write a proof file. With --segments N, \
           cut the circuit at layer boundaries into N independently-proved \
-          segments bound by seam digests and write a `zkml-proof-seg v2` \
+          segments bound by seam digests and write a `zkml-proof-seg v3` \
           file instead.")
     Term.(
       const (fun () () m b o s n -> cmd_prove m b o s n)

@@ -57,6 +57,11 @@ let benchmark ~fft_run ~msm_run ~lookup_run ~field_run ~ks =
        /. float_of_int n);
   }
 
+(** Committed columns of the logUp lookup argument: one helper per
+    lookup, and a multiplicity column and a running sum per table. *)
+let lookup_columns (s : Layouter.summary) =
+  s.Layouter.lookup_count + (2 * s.Layouter.tables)
+
 (** Operation counts for a physical layout, following eq. (2). *)
 type counts = {
   n_fft : float;
@@ -78,7 +83,7 @@ let counts_of_summary ~backend (s : Layouter.summary) =
   let n_pm = n_a + 2 in
   let n_fft =
     float_of_int n_i +. float_of_int n_a
-    +. (float_of_int n_lk *. 3.0)
+    +. float_of_int (lookup_columns s)
     +. (float_of_int (n_pm + d - 3) /. float_of_int (d - 2))
   in
   let ext_factor = Zkml_plonkish.Circuit.ext_factor d in
@@ -92,7 +97,9 @@ let counts_of_summary ~backend (s : Layouter.summary) =
     n_lookup = n_lk;
     d_max = d;
     ext_factor;
-    terms = s.Layouter.gate_count + (5 * n_lk) + ((n_pm + d - 3) / (d - 2)) + 3;
+    terms =
+      s.Layouter.gate_count + n_lk + (3 * s.Layouter.tables)
+      + ((n_pm + d - 3) / (d - 2)) + 3;
   }
 
 (** Predicted seconds split by op class — the quantities the §9.5
@@ -128,13 +135,14 @@ let estimate_size ~backend ~k ~group_bytes ~field_bytes (s : Layouter.summary) =
   let c = counts_of_summary ~backend s in
   let perm_chunks = (s.Layouter.advice_cols + 2 + c.d_max - 3) / (c.d_max - 2) in
   let commitments =
-    s.Layouter.advice_cols + (3 * c.n_lookup) + perm_chunks + c.ext_factor
+    s.Layouter.advice_cols + lookup_columns s + perm_chunks + c.ext_factor
   in
   let evals =
     s.Layouter.fixed_cols + s.Layouter.advice_cols
     + (s.Layouter.advice_cols + 2) (* sigmas *)
     + (3 * perm_chunks)
-    + (5 * c.n_lookup) + c.ext_factor
+    + c.n_lookup + (3 * s.Layouter.tables) (* helpers; phi at 0 and 1, m *)
+    + c.ext_factor
   in
   let opening =
     match backend with

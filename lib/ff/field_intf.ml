@@ -39,8 +39,8 @@ module type S = sig
   val is_zero : t -> bool
 
   val compare : t -> t -> int
-  (** Total order on canonical representatives (used for sorting in the
-      lookup argument); not arithmetically meaningful. *)
+  (** Total order on canonical representatives (used for sorting);
+      not arithmetically meaningful. *)
 
   val pow_int : t -> int -> t
   (** [pow_int x e] for [e >= 0]. *)

@@ -48,10 +48,32 @@ let usable_rows t = last_row t
 
 let gate_degree g = List.fold_left (fun acc p -> max acc (Expr.degree p)) 0 g.polys
 
+(** Degree of the logUp argument's constraints for one lookup (see
+    Protocol): the helper identity [h * (f + beta) - 1] has degree
+    [1 + deg f], and the running-sum step
+    [active * ((phi(wX) - phi(X) - sum h) * (t + beta) + m)] has degree
+    [2 + deg t]. *)
 let lookup_degree l =
   let deg es = List.fold_left (fun acc e -> max acc (Expr.degree e)) 0 es in
-  (* active * (Z(wX) (A'+b)(S'+g) - Z(X) (A+b)(S+g)) *)
-  1 + 1 + max (deg l.inputs + deg l.tables) 2
+  max (1 + deg l.inputs) (2 + max 1 (deg l.tables))
+
+(** The distinct table tuples of the circuit's lookups, compared
+    structurally, in order of first use, and for each lookup the index of
+    its table. Lookups sharing a table share one multiplicity column and
+    one running sum. *)
+let lookup_tables t =
+  let tables = ref [] in
+  let index tup =
+    let rec find i = function
+      | [] ->
+          tables := !tables @ [ tup ];
+          i
+      | x :: rest -> if x = tup then i else find (i + 1) rest
+    in
+    find 0 !tables
+  in
+  let of_lookup = List.map (fun l -> index l.tables) t.lookups in
+  (Array.of_list !tables, Array.of_list of_lookup)
 
 (** Maximum constraint degree over the whole system (>= 3 so the
     permutation argument can make progress). *)

@@ -1,8 +1,8 @@
 (** Compiled quotient evaluator.
 
     The prover's dominant cost is evaluating the combined constraint
-    polynomial — every gate, both lookup compressions and the
-    permutation/lookup grand-product numerators, Horner-combined with
+    polynomial — every gate, the logUp helper and running-sum terms and
+    the permutation grand-product numerators, Horner-combined with
     powers of [y] — at each of the [ext_factor * n] rows of the
     extended coset. Walking the {!Expr.t} ASTs through closure-based
     {!Expr.eval} per row is allocation-heavy and blind to
@@ -79,26 +79,25 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
     c_instance : int;
     c_sigma : int;
     c_perm_z : int;
-    c_look_z : int;
-    c_look_a : int;
-    c_look_s : int;
+    c_helper : int;  (** logUp helper, one per lookup *)
+    c_phi : int;  (** logUp running sum, one per table *)
+    c_mult : int;  (** logUp multiplicities, one per table *)
     c_l0 : int;
     c_llast : int;
     c_lblind : int;
     c_point : int;
   }
 
-  let layout (circuit : F.t Circuit.t) ~num_sigma ~n_chunks =
-    let nl = List.length circuit.Circuit.lookups in
+  let layout (circuit : F.t Circuit.t) ~num_sigma ~n_chunks ~n_tables =
     let c_fixed = 0 in
     let c_advice = c_fixed + circuit.Circuit.num_fixed in
     let c_instance = c_advice + Circuit.num_advice circuit in
     let c_sigma = c_instance + circuit.Circuit.num_instance in
     let c_perm_z = c_sigma + num_sigma in
-    let c_look_z = c_perm_z + n_chunks in
-    let c_look_a = c_look_z + nl in
-    let c_look_s = c_look_a + nl in
-    let c_l0 = c_look_s + nl in
+    let c_helper = c_perm_z + n_chunks in
+    let c_phi = c_helper + List.length circuit.Circuit.lookups in
+    let c_mult = c_phi + n_tables in
+    let c_l0 = c_mult + n_tables in
     {
       ncols = c_l0 + 4;
       c_fixed;
@@ -106,9 +105,9 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
       c_instance;
       c_sigma;
       c_perm_z;
-      c_look_z;
-      c_look_a;
-      c_look_s;
+      c_helper;
+      c_phi;
+      c_mult;
       c_l0;
       c_llast = c_l0 + 1;
       c_lblind = c_l0 + 2;
@@ -401,15 +400,19 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
   (* Compilation: mirror [Protocol.combine_terms] term by term. The
      Horner accumulation over [y] is order-sensitive, so the emission
      sequence below must match the interpreter exactly: gates, then the
-     five terms of each lookup, then the permutation boundary / chunk /
-     last-row terms. *)
+     helper term of each lookup and the three running-sum terms of each
+     table, then the permutation boundary / chunk / last-row terms. *)
 
   let compile (circuit : F.t Circuit.t) ~(perm_cols : Circuit.any_col array)
       ~(deltas : F.t array) ~n_chunks ~chunk =
     let b = builder () in
     let u = Circuit.last_row circuit in
     let nc = circuit.Circuit.num_challenges in
-    let lay = layout circuit ~num_sigma:(Array.length perm_cols) ~n_chunks in
+    let tables, look_table = Circuit.lookup_tables circuit in
+    let lay =
+      layout circuit ~num_sigma:(Array.length perm_cols) ~n_chunks
+        ~n_tables:(Array.length tables)
+    in
     let theta = S_scalar nc
     and beta = S_scalar (nc + 1)
     and gamma = S_scalar (nc + 2)
@@ -451,26 +454,30 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
     List.iter
       (fun g -> List.iter (fun p -> push (expr_src p)) g.Circuit.polys)
       circuit.Circuit.gates;
-    (* 2. lookups *)
+    (* 2. lookups (logUp): the helper identity per lookup, then the
+       running-sum boundary and step terms per table *)
     List.iteri
       (fun li (l : F.t Circuit.lookup) ->
-        let a = compress (List.map expr_src l.Circuit.inputs) in
-        let s = compress (List.map expr_src l.Circuit.tables) in
-        let z0 = cell (lay.c_look_z + li) 0
-        and z1 = cell (lay.c_look_z + li) 1
-        and a'0 = cell (lay.c_look_a + li) 0
-        and a'm1 = cell (lay.c_look_a + li) (-1)
-        and s'0 = cell (lay.c_look_s + li) 0 in
-        push (mul b l0 (sub b z0 one));
+        let f = compress (List.map expr_src l.Circuit.inputs) in
+        push (sub b (mul b (cell (lay.c_helper + li) 0) (add b f beta)) one))
+      circuit.Circuit.lookups;
+    Array.iteri
+      (fun ti tup ->
+        let phi0 = cell (lay.c_phi + ti) 0 and phi1 = cell (lay.c_phi + ti) 1 in
+        let t = compress (List.map expr_src tup) in
+        let sum_h = ref zero in
+        Array.iteri
+          (fun li tj ->
+            if tj = ti then sum_h := add b !sum_h (cell (lay.c_helper + li) 0))
+          look_table;
+        push (mul b l0 phi0);
         push
           (mul b active
-             (sub b
-                (mul b z1 (mul b (add b a'0 beta) (add b s'0 gamma)))
-                (mul b z0 (mul b (add b a beta) (add b s gamma)))));
-        push (mul b llast (sub b (square b z0) z0));
-        push (mul b l0 (sub b a'0 s'0));
-        push (mul b active (mul b (sub b a'0 s'0) (sub b a'0 a'm1))))
-      circuit.Circuit.lookups;
+             (add b
+                (mul b (sub b (sub b phi1 phi0) !sum_h) (add b t beta))
+                (cell (lay.c_mult + ti) 0)));
+        push (mul b llast phi0))
+      tables;
     (* 3. permutation argument *)
     if n_chunks > 0 then begin
       push (mul b l0 (sub b one (cell lay.c_perm_z 0)));

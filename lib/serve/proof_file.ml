@@ -1,4 +1,4 @@
-(** The `zkml-proof v2` file format: writer, total parser, prover and
+(** The `zkml-proof v3` file format: writer, total parser, prover and
     verdict classifier.
 
     One implementation serves every entry point — `zkml prove`/`verify`,
@@ -28,7 +28,7 @@ type t = {
   pf_proof : string;
 }
 
-let magic = "zkml-proof v2"
+let magic = "zkml-proof v3"
 
 (* Sanity bounds on header fields, so a hostile header cannot demand a
    huge circuit rebuild before the proof is even looked at. The zoo's

@@ -1,4 +1,4 @@
-(** The `zkml-proof-seg v2` file format: writer, total parser, the
+(** The `zkml-proof-seg v3` file format: writer, total parser, the
     split-and-aggregate prover and the aggregate verdict classifier.
 
     A segmented proof carries one (k, instance, proof) group per
@@ -37,7 +37,7 @@ type t = {
   sp_groups : seg_group array;  (** one per segment, segment order *)
 }
 
-let magic = "zkml-proof-seg v2"
+let magic = "zkml-proof-seg v3"
 let max_seams = 4096
 
 let seam_digest (slice : int array) =

@@ -47,9 +47,9 @@ type request =
       model : string;
       segments : int;  (** requested segment count, 1..16 *)
       seeds : int64 list;
-    }  (** split-and-aggregate prove; answers `zkml-proof-seg v2` texts *)
+    }  (** split-and-aggregate prove; answers `zkml-proof-seg v3` texts *)
   | Verify of { tenant : string; model : string; proof : string }
-      (** [proof] is a full `zkml-proof v2` or `zkml-proof-seg v2` file
+      (** [proof] is a full `zkml-proof v3` or `zkml-proof-seg v3` file
           text; the daemon dispatches on the first line *)
   | Shutdown
 

@@ -313,7 +313,7 @@ module Wire = Zkml_serve.Wire
 module B = Zkml_serve.Backends
 
 let wire_corpus () =
-  let proof = "zkml-proof v2\nmodel mnist\n" in
+  let proof = "zkml-proof v3\nmodel mnist\n" in
   List.map Wire.encode_request
     [ Wire.Ping;
       Wire.Prove

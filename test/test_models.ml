@@ -75,15 +75,15 @@ let test_all_models_serialize () =
         (Zkml_nn.Quant_exec.output_values e2 g))
     (Zoo.all ())
 
-(* The quotient's extended domain has next_pow2 (d_max - 1) cosets of
-   the 2^k rows, one h commitment each. *)
+(* Every zoo gate has degree <= 3 and the logUp lookup constraints have
+   degree 3, so d_max = 3 and the quotient's extended domain has
+   next_pow2 (d_max - 1) = 2 cosets of the 2^k rows, one h commitment
+   each. *)
 let check_h_count m ~(plan : Opt.plan) ~h_commits =
-  let d_max = plan.Opt.summary.Zkml_compiler.Layouter.max_gate_degree in
-  let rec next_pow2 x f = if f >= x then f else next_pow2 x (2 * f) in
   Alcotest.(check int)
-    (m.Zoo.name ^ " h commitments")
-    (next_pow2 (d_max - 1) 1)
-    h_commits
+    (m.Zoo.name ^ " d_max")
+    3 plan.Opt.summary.Zkml_compiler.Layouter.max_gate_degree;
+  Alcotest.(check int) (m.Zoo.name ^ " h commitments") 2 h_commits
 
 (* the small models prove quickly enough for the unit suite; the full
    Table 6/7 sweep lives in bench/main.exe *)

@@ -181,15 +181,22 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
         ~advice:(fun _ -> Array.map Array.copy adv)
         ~rng
     with
-    | exception Invalid_argument _ ->
-        (* honest prover machinery refuses: input not in table *)
-        ()
-    | proof ->
+    | exception Invalid_argument _ -> (
+        (* the honest prover refuses: input not in table. The test-only
+           seam with a no-op hook proves anyway, and the verifier must
+           reject: only the lookup is violated. *)
+        let proof =
+          Proto.Testing.prove_tampered
+            ~tamper:(fun _ _ _ -> ())
+            params keys
+            ~instance:(instance_cols (F.of_int 12))
+            ~advice:(fun _ -> Array.map Array.copy adv)
+            ~rng
+        in
         Alcotest.(check bool)
           "lookup violation rejected" false
-          (Proto.verify params keys
-             ~instance:(instance_cols (F.of_int 12))
-             proof)
+          (Proto.verify params keys ~instance:(instance_cols (F.of_int 12)) proof))
+    | _ -> Alcotest.fail "honest prover accepted an input outside the table"
 
   let test_corrupted_proof () =
     let keys = Lazy.force keys in
@@ -333,9 +340,10 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
     Alcotest.(check int) "u" u (Circuit.last_row circuit)
 
   (* Degree boundaries of the extended domain: a gate of degree [d]
-     (s * (a^(d-1) - b)), a copy of b into the instance column and, from
-     d = 5 up, the zoo's gated lookup (degree 5). The quotient runs on
-     ext_factor = next_pow2 (d - 1) cosets of the 2^k rows. *)
+     (s * (a^(d-1) - b)), a copy of b into the instance column and the
+     zoo's gated lookup, whose logUp constraints have degree 3 and so
+     never raise d. The quotient runs on ext_factor = next_pow2 (d - 1)
+     cosets of the 2^k rows. *)
   let degree_circuit d : F.t Circuit.t =
     let open Expr in
     let rec pow e j = if j = 1 then e else Mul (e, pow e (j - 1)) in
@@ -353,14 +361,7 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
           }
         ];
       lookups =
-        (if d < 5 then []
-         else
-           [ {
-               lookup_name = "range";
-               inputs = [ Mul (fixed 2, advice 0) ];
-               tables = [ fixed 1 ];
-             }
-           ]);
+        [ { lookup_name = "range"; inputs = [ Mul (fixed 2, advice 0) ]; tables = [ fixed 1 ] } ];
       copies = [ ((Circuit.Col_advice 1, 0), (Circuit.Col_instance 0, 0)) ];
       blinding;
     }
@@ -443,6 +444,139 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
           [ List.nth bytes 1; interp ])
       [ (3, 2); (4, 4); (5, 4); (9, 8) ]
 
+  (* logUp edge cases on hand circuits. Every case has fixed columns
+     [s; t1; t2]: a selector, the table 0..7 padded with duplicate 7s,
+     and the table 0, 1, 4, 9, 16, 25 padded with 25s; advice [a0; a1]
+     holds [vals] on rows 0, 1, ... where [s] = 1. [mult] lists the
+     expected (table, row, multiplicity) entries: each distinct table
+     value is counted at its first usable row, duplicates get 0. *)
+  type logup_case = {
+    lk_name : string;
+    lk_lookups : F.t Circuit.lookup list;
+    lk_gates : F.t Circuit.gate list;
+    lk_vals : (int * int) list;
+    lk_tables : int;
+    lk_mult : (int * int * int) list;
+  }
+
+  let gated c = Expr.Mul (Expr.fixed 0, Expr.advice c)
+  let lookup name inputs tables = { Circuit.lookup_name = name; inputs; tables }
+
+  let logup_cases =
+    let open Expr in
+    let t1 = fixed 1 and t2 = fixed 2 in
+    let idle = u in
+    [ (* one value read on 10 rows; the 16 disabled rows read 0 *)
+      { lk_name = "repeated_inputs";
+        lk_lookups = [ lookup "rep" [ gated 0 ] [ t1 ] ];
+        lk_gates = [];
+        lk_vals = List.init 10 (fun _ -> (3, 0));
+        lk_tables = 1;
+        lk_mult = [ (0, 3, 10); (0, 0, idle - 10) ] };
+      (* disabled rows read the default 9 instead of 0 *)
+      { lk_name = "default_tuple";
+        lk_lookups =
+          [ lookup "dflt"
+              [ Add (gated 0, Mul (Sub (Const F.one, fixed 0), Const (F.of_int 9))) ]
+              [ t2 ] ];
+        lk_gates = [];
+        lk_vals = [ (16, 0); (1, 0); (4, 0) ];
+        lk_tables = 1;
+        lk_mult = [ (0, 3, idle - 3); (0, 4, 1); (0, 1, 1); (0, 2, 1); (0, 0, 0) ] };
+      (* 7 fills rows 7.. of t1: counted once at row 7, never at a
+         duplicate *)
+      { lk_name = "padded_duplicates";
+        lk_lookups = [ lookup "pad" [ gated 0 ] [ t1 ] ];
+        lk_gates = [];
+        lk_vals = List.init 5 (fun _ -> (7, 0));
+        lk_tables = 1;
+        lk_mult = [ (0, 7, 5); (0, 8, 0); (0, idle - 1, 0); (0, 0, idle - 5) ] };
+      (* two lookups share t1, a third reads t2 *)
+      { lk_name = "shared_and_distinct_tables";
+        lk_lookups =
+          [ lookup "a0-t1" [ gated 0 ] [ t1 ];
+            lookup "a1-t2" [ gated 1 ] [ t2 ];
+            lookup "a1-t1" [ gated 1 ] [ t1 ] ];
+        lk_gates = [];
+        lk_vals = [ (2, 1); (5, 4); (7, 4) ];
+        lk_tables = 2;
+        lk_mult =
+          [ (0, 2, 1); (0, 5, 1); (0, 7, 1); (0, 1, 1); (0, 4, 2);
+            (0, 0, 2 * (idle - 3)); (1, 1, 1); (1, 2, 2); (1, 0, idle - 3) ] };
+      (* no lookups: no helper, multiplicity or running-sum columns *)
+      { lk_name = "lookup_free";
+        lk_lookups = [];
+        lk_gates =
+          [ { gate_name = "square";
+              polys = [ Mul (fixed 0, Sub (advice 1, Mul (advice 0, advice 0))) ] } ];
+        lk_vals = [ (3, 9); (5, 25) ];
+        lk_tables = 0;
+        lk_mult = [] } ]
+
+  let test_logup_case c () =
+    let circuit : F.t Circuit.t =
+      { k; num_fixed = 3; is_selector = [| true; false; false |];
+        advice_phases = [| 0; 0 |]; num_instance = 0; num_challenges = 0;
+        gates = c.lk_gates; lookups = c.lk_lookups; copies = []; blinding }
+    in
+    let table vals = Array.init n (fun r -> F.of_int (List.nth vals (min r (List.length vals - 1)))) in
+    let s = Array.init n (fun r -> if r < List.length c.lk_vals then F.one else F.zero) in
+    let fixed = [| s; table (List.init 8 Fun.id); table [ 0; 1; 4; 9; 16; 25 ] |] in
+    let keys = Proto.keygen params circuit ~fixed in
+    Alcotest.(check int) "tables" c.lk_tables (Array.length keys.Proto.tables);
+    Alcotest.(check int) "max degree" 3 (Circuit.max_degree circuit);
+    let advice =
+      let col f = Array.init n (fun r -> match List.nth_opt c.lk_vals r with Some v -> F.of_int (f v) | None -> F.zero) in
+      [| col fst; col snd |]
+    in
+    let prove ?tamper () =
+      let advice _ = Array.map Array.copy advice and rng = Zkml_util.Rng.create 9L in
+      match tamper with
+      | None -> Proto.prove params keys ~instance:[||] ~advice ~rng
+      | Some tamper -> Proto.Testing.prove_tampered ~tamper params keys ~instance:[||] ~advice ~rng
+    in
+    let bytes =
+      List.map
+        (fun jobs ->
+          with_jobs jobs @@ fun () ->
+          let proof = prove () in
+          let what = Printf.sprintf "%s jobs=%d" c.lk_name jobs in
+          Alcotest.(check (list int))
+            (what ^ ": helper/mult/phi commitments")
+            [ List.length c.lk_lookups; c.lk_tables; c.lk_tables ]
+            (List.map Array.length
+               [ proof.Proto.helper_commits; proof.Proto.mult_commits; proof.Proto.phi_commits ]);
+          Alcotest.(check bool) (what ^ ": accepted") true
+            (Proto.verify params keys ~instance:[||] proof);
+          Proto.proof_to_bytes proof)
+        [ 1; 4 ]
+    in
+    (* a hook that only reads sees the multiplicities and leaves the
+       proof byte-identical *)
+    let seen = Hashtbl.create 4 in
+    let observed =
+      Proto.proof_to_bytes
+        (prove ~tamper:(fun what i col -> if what = Proto.Mult then Hashtbl.replace seen i (Array.copy col)) ())
+    in
+    List.iter
+      (fun (ti, row, m) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: m[%d][%d] = %d" c.lk_name ti row m)
+          true
+          (F.equal (F.of_int m) (Hashtbl.find seen ti).(row)))
+      c.lk_mult;
+    let interp =
+      Unix.putenv "ZKML_EVAL" "interp";
+      Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "")
+      @@ fun () -> Proto.proof_to_bytes (prove ())
+    in
+    List.iter2
+      (fun what b ->
+        Alcotest.(check bool) (c.lk_name ^ ": " ^ what ^ " bytes equal compiled jobs=1") true
+          (String.equal (List.hd bytes) b))
+      [ "compiled jobs=4"; "observed"; "interp jobs=1" ]
+      [ List.nth bytes 1; observed; interp ]
+
   let suite =
     [ Alcotest.test_case "completeness" `Quick test_completeness;
       Alcotest.test_case "wrong_instance" `Quick test_wrong_instance;
@@ -456,6 +590,9 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
       Alcotest.test_case "stats" `Quick test_stats;
       Alcotest.test_case "degree_boundaries" `Quick test_degree_boundaries
     ]
+    @ List.map
+        (fun c -> Alcotest.test_case ("logup_" ^ c.lk_name) `Quick (test_logup_case c))
+        logup_cases
 end
 
 module Sim61 = Zkml_ec.Simulated.Make (Zkml_ff.Fp61)
@@ -530,15 +667,15 @@ module Ipa_pinned = Pinned (Zkml_commit.Ipa.Make (Sim61))
 
 let pinned_kzg =
   [ ( Zkml_models.Zoo.mnist (),
-      "d49fb3dc12f5b3b645e33a1e8bbd59f84d0c167d6a8eac6a99c3bbae6524c236" );
+      "dfa8865c7ae3ecded4102bb1700be15395143b190f75dfbcbeb3413f2f3a17eb" );
     ( Zkml_models.Zoo.gpt2 (),
-      "73ac7881a5f31da51bde6f3dde02e111d990c9bc0f21fd981c9dc0a6ced5b9ee" ) ]
+      "15d84c7e80555774c599219118560a2e1811cf548634f2d46d1c2303495ac807" ) ]
 
 let pinned_ipa =
   [ ( Zkml_models.Zoo.mnist (),
-      "c3a32be52af29695c533bf1fe8064ab1e48d107c607612fbb2e140559ff33a39" );
+      "33011bb68e368b86b657c6886d088d4f4a4346d628da0c40a929ef4b535e284c" );
     ( Zkml_models.Zoo.gpt2 (),
-      "fa3f20bc6cc62bdd3266b6cfa45de82f7b6b701a87031dfe89884a6e8c75fdcd" ) ]
+      "af17d1423c105fc3df9290ca75bc81ac9d3c024b84cbe49d2cf766821390c6fa" ) ]
 
 let () =
   Alcotest.run "plonkish"

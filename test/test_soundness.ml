@@ -3,9 +3,13 @@
    Mutation testing for the proof system: take each zoo model, produce
    an honest proof, then hand the prover a deliberately wrong input —
    one flipped advice cell, one swapped permutation (sigma) pair, one
-   corrupted lookup-table column, one flipped proof byte — and demand
-   that the (honest-key) verifier rejects every mutant, individually and
-   inside a batch.
+   corrupted lookup-table column, one flipped proof byte, and seven
+   forged logUp witnesses (an input outside its table, also with the
+   running sum shifted to close; a multiplicity bumped, or moved to a
+   duplicate table row; a shifted running sum; a replaced helper entry;
+   a balanced pair of helper entries) — and demand that the
+   (honest-key) verifier rejects every mutant, individually and inside
+   a batch.
 
    A mutation classifies as:
      - [Rejected]  the prover produced a proof and the verifier said no;
@@ -193,6 +197,117 @@ module Mut (Scheme : Zkml_commit.Scheme_intf.S) = struct
             prove_with params bad_keys ~instance:w.Pipe.w_instance
               ~advice:w.Pipe.w_advice)
 
+  (* --- logUp mutations --------------------------------------------- *)
+
+  (* These reach the prover through its test-only seam
+     [Proto.Testing.prove_tampered]: the hook rewrites a copy of one
+     logUp column just before it is committed, while every other column
+     keeps its honest derivation, and an input missing from its table is
+     skipped instead of refused — so each mutant yields a proof, and the
+     verifier must reject it. *)
+  let prove_tampered params keys (w : Pipe.witness) ?(advice = w.Pipe.w_advice)
+      tamper =
+    if keys.Proto.circuit.Circuit.lookups = [] then Skipped "circuit has no lookups"
+    else
+      attempt params keys ~instance:w.Pipe.w_instance (fun () ->
+          Proto.Testing.prove_tampered ~tamper params keys
+            ~instance:w.Pipe.w_instance
+            ~advice:(fun _ -> Array.map Array.copy advice)
+            ~rng:(Zkml_util.Rng.create seed))
+
+  let on what i f = fun what' i' col -> if what' = what && i' = i then f col
+
+  let eval_at keys advice ~row e =
+    let n = Array.length keys.Proto.fixed_values.(0) in
+    let at grid col rot = grid.(col).((((row + rot) mod n) + n) mod n) in
+    Expr.eval ~fixed_at:(at keys.Proto.fixed_values) ~advice_at:(at advice)
+      ~instance_at:(fun _ _ -> F.zero) ~challenge:(fun _ -> F.zero)
+      ~add:F.add ~sub:F.sub ~mul:F.mul ~neg:F.neg ~scale:F.mul e
+
+  let tuple_at keys advice ~row es =
+    String.concat "|" (List.map (fun e -> F.to_bytes (eval_at keys advice ~row e)) es)
+
+  (* an input value outside the table: the first (lookup, usable row,
+     advice cell of its inputs) whose bump by 2^40 takes the input tuple
+     out of the table. The uncounted input leaves the lookup's running
+     sum off zero at row u, which [llast * phi] catches; with [close]
+     the running sum is shifted to end at 0 and start off zero instead,
+     which [l0 * phi] catches. In the zoo every lookup input cell is
+     also copied or gate-constrained, so other constraints reject too;
+     the hand circuit below has no gates or copies, so there only the
+     lookup is wrong. *)
+  let mutate_outside_table ?(close = false) params keys (w : Pipe.witness) =
+    let circuit = keys.Proto.circuit in
+    let u = Circuit.last_row circuit in
+    let advice = Array.map Array.copy w.Pipe.w_advice in
+    let bumps_out (l : F.t Circuit.lookup) =
+      let table = Hashtbl.create u in
+      for row = 0 to u - 1 do
+        Hashtbl.replace table (tuple_at keys advice ~row l.Circuit.tables) ()
+      done;
+      let cells =
+        List.fold_left
+          (Expr.fold_queries (fun acc kind (q : Expr.query) ->
+               if kind = Expr.KAdvice then q :: acc else acc))
+          [] l.Circuit.inputs
+      in
+      let rec search row = function
+        | [] -> row + 1 < u && search (row + 1) cells
+        | (q : Expr.query) :: rest ->
+            let c = q.Expr.col and r = row + q.Expr.rot in
+            if r < 0 || r >= u then search row rest
+            else begin
+              let saved = advice.(c).(r) in
+              advice.(c).(r) <- F.add saved (F.of_int (1 lsl 40));
+              if Hashtbl.mem table (tuple_at keys advice ~row l.Circuit.inputs) then begin
+                advice.(c).(r) <- saved;
+                search row rest
+              end
+              else true
+            end
+      in
+      search 0 cells
+    in
+    let rec find li = function
+      | [] -> None
+      | l :: rest -> if bumps_out l then Some li else find (li + 1) rest
+    in
+    match find 0 circuit.Circuit.lookups with
+    | None -> Skipped "no advice cell moves a lookup input out of its table"
+    | Some li ->
+        let closing phi =
+          let d = phi.(u) in
+          Array.iteri (fun r v -> phi.(r) <- F.sub v d) phi
+        in
+        prove_tampered params keys w ~advice
+          (if close then on Proto.Phi keys.Proto.look_table.(li) closing
+           else fun _ _ _ -> ())
+
+  (* a count moved between two usable rows holding the same table tuple:
+     the sum m / (t + beta) is unchanged, but the running sum was built
+     from the honest counts *)
+  let mutate_mult_moved params keys (w : Pipe.witness) =
+    if keys.Proto.tables = [||] then Skipped "circuit has no lookups"
+    else begin
+      let u = Circuit.last_row keys.Proto.circuit in
+      let seen = Hashtbl.create u in
+      let pair = ref None in
+      for row = 0 to u - 1 do
+        let key = tuple_at keys w.Pipe.w_advice ~row keys.Proto.tables.(0) in
+        match Hashtbl.find_opt seen key with
+        | Some r1 when !pair = None -> pair := Some (r1, row)
+        | Some _ -> ()
+        | None -> Hashtbl.add seen key row
+      done;
+      match !pair with
+      | None -> Skipped "table 0 has no duplicate rows"
+      | Some (r1, r2) ->
+          prove_tampered params keys w
+            (on Proto.Mult 0 (fun m ->
+                 m.(r1) <- F.sub m.(r1) F.one;
+                 m.(r2) <- F.add m.(r2) F.one))
+    end
+
   (* --- mutation 4: flip one proof byte ------------------------------ *)
 
   let mutate_proof_byte params keys (w : Pipe.witness) honest_bytes =
@@ -207,6 +322,97 @@ module Mut (Scheme : Zkml_commit.Scheme_intf.S) = struct
     | Proto.Accepted -> Accepted
     | Proto.Rejected -> Rejected
     | Proto.Malformed e -> Refused (Zkml_util.Err.to_string e)
+
+  let logup_mutants params keys w =
+    [
+      ("logup-outside-table", mutate_outside_table params keys w);
+      ( "logup-mult-plus-one",
+        prove_tampered params keys w
+          (on Proto.Mult 0 (fun m -> m.(0) <- F.add m.(0) F.one)) );
+      ("logup-mult-moved", mutate_mult_moved params keys w);
+      ( "logup-phi-shift",
+        prove_tampered params keys w
+          (on Proto.Phi 0 (fun phi ->
+               Array.iteri (fun r v -> phi.(r) <- F.add v (F.of_int 5)) phi)) );
+      ( "logup-helper-replace",
+        prove_tampered params keys w
+          (on Proto.Helper 0 (fun h -> h.(0) <- F.add h.(0) F.one)) );
+      (* +1 and -1 on two helper entries with the running sum carried
+         between them: every sum and step still holds, so only the
+         helper identity h * (f + beta) = 1 can catch it *)
+      ( "logup-helper-balanced",
+        prove_tampered params keys w (fun what i col ->
+            match (what, i) with
+            | Proto.Helper, 0 ->
+                col.(0) <- F.add col.(0) F.one;
+                col.(1) <- F.sub col.(1) F.one
+            | Proto.Phi, 0 -> col.(1) <- F.add col.(1) F.one
+            | _ -> ()) );
+      ("logup-outside-closed", mutate_outside_table ~close:true params keys w);
+    ]
+
+  let check_all keys label outcomes =
+    List.iter
+      (fun (what, outcome) ->
+        let name = label ^ "/" ^ what in
+        let is_lookup = what = "lookup-corrupt" || String.starts_with ~prefix:"logup-" what in
+        (match outcome with
+        | Skipped _ when is_lookup && keys.Proto.circuit.Circuit.lookups = [] ->
+            (* the only legitimate skip: a circuit with no lookups *)
+            ()
+        | Refused e when String.starts_with ~prefix:"logup-" what ->
+            (* the tamper seam always yields a proof *)
+            Alcotest.failf "%s: expected a proof, prover refused (%s)" name e
+        | o -> check_sound name o);
+        Printf.printf "  %-30s %s\n%!" name (outcome_label outcome))
+      outcomes
+
+  (* The logUp mutants on a hand circuit where each one breaks exactly
+     one constraint: one lookup [s * a] into the table 0..7 padded with
+     duplicate 7s, no gates, no copies, [a] = 3 on rows 0..9. *)
+  let run_hand params =
+    let k = 5 and blinding = 5 in
+    let n = 1 lsl k in
+    let circuit : F.t Circuit.t =
+      {
+        Circuit.k;
+        num_fixed = 2;
+        is_selector = [| true; false |];
+        advice_phases = [| 0 |];
+        num_instance = 0;
+        num_challenges = 0;
+        gates = [];
+        lookups =
+          [
+            {
+              Circuit.lookup_name = "range";
+              inputs = [ Expr.Mul (Expr.fixed 0, Expr.advice 0) ];
+              tables = [ Expr.fixed 1 ];
+            };
+          ];
+        copies = [];
+        blinding;
+      }
+    in
+    let fixed =
+      [|
+        Array.init n (fun r -> if r < 10 then F.one else F.zero);
+        Array.init n (fun r -> F.of_int (min r 7));
+      |]
+    in
+    let keys = Proto.keygen params circuit ~fixed in
+    let w =
+      {
+        Pipe.w_advice = [| Array.init n (fun r -> F.of_int (if r < 10 then 3 else 0)) |];
+        w_instance = [||];
+        w_instance_ints = [||];
+      }
+    in
+    Alcotest.(check bool)
+      "hand honest proof verifies" true
+      (Proto.verify params keys ~instance:[||]
+         (prove_with params keys ~instance:[||] ~advice:w.Pipe.w_advice));
+    check_all keys "hand" (logup_mutants params keys w)
 
   (* --- whole-model run ---------------------------------------------- *)
 
@@ -230,19 +436,9 @@ module Mut (Scheme : Zkml_commit.Scheme_intf.S) = struct
         ("lookup-corrupt", mutate_lookup params keys w);
         ("proof-byte-flip", mutate_proof_byte params keys w honest_bytes);
       ]
+      @ logup_mutants params keys w
     in
-    List.iter
-      (fun (what, outcome) ->
-        let name = m.Zoo.name ^ "/" ^ what in
-        (match outcome with
-        | Skipped _
-          when what = "lookup-corrupt"
-               && keys.Proto.circuit.Circuit.lookups = [] ->
-            (* the only legitimate skip: a circuit with no lookups *)
-            ()
-        | o -> check_sound name o);
-        Printf.printf "  %-28s %s\n%!" name (outcome_label outcome))
-      outcomes;
+    check_all keys m.Zoo.name outcomes;
     (* batch context: a batch holding one mutant must reject while the
        all-honest batch accepts — the RLC'd final check hides nothing *)
     let flipped =
@@ -275,6 +471,10 @@ let mutate_kzg names () =
 
 let mutate_ipa names () =
   List.iter (fun n -> Mut_ipa.run ipa_params (Zoo.by_name n)) names
+
+let logup_hand () =
+  Mut_kzg.run_hand kzg_params;
+  Mut_ipa.run_hand ipa_params
 
 (* --- split-and-aggregate mutants (PR 10) --------------------------- *)
 
@@ -368,6 +568,7 @@ let () =
           Alcotest.test_case "kzg_small" `Quick
             (mutate_kzg [ "mnist"; "dlrm"; "twitter"; "gpt2" ]);
           Alcotest.test_case "ipa_small" `Quick (mutate_ipa [ "dlrm"; "gpt2" ]);
+          Alcotest.test_case "logup_hand" `Quick logup_hand;
           Alcotest.test_case "kzg_big" `Slow
             (mutate_kzg [ "resnet18"; "mobilenet"; "vgg16"; "diffusion" ]);
         ] );

@@ -101,7 +101,7 @@ let concrete_frames () =
       Wire.Verify { tenant = "acme"; model = "dlrm"; proof = "\x00\xff\x01" };
       Wire.Shutdown ]
   @ List.map Wire.encode_response
-      [ Wire.Pong; Wire.Proofs [ "zkml-proof v2\n"; "" ];
+      [ Wire.Pong; Wire.Proofs [ "zkml-proof v3\n"; "" ];
         Wire.Verdict { code = 1; detail = "proof rejected" };
         Wire.Overloaded; Wire.Stopping ]
 
