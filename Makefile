@@ -1,4 +1,4 @@
-.PHONY: all build test check check-constraints fmt smoke serve-smoke segments-smoke soundness fuzz bench bench-par bench-batch bench-quotient bench-kernels bench-ff bench-msm bench-serve bench-segments bench-regress clean
+.PHONY: all build test check check-dispatch check-constraints fmt smoke serve-smoke segments-smoke soundness fuzz bench bench-par bench-batch bench-quotient bench-kernels bench-ff bench-msm bench-serve bench-segments bench-regress clean
 
 all: build
 
@@ -18,12 +18,28 @@ test:
 # ocamlformat is optional in the dev container, so fmt degrades to a
 # no-op when it is not installed.
 check: fmt build
+	$(MAKE) check-dispatch
 	ZKML_JOBS=1 dune runtest --force
 	ZKML_JOBS=4 dune runtest --force
 	$(MAKE) check-constraints
 	$(MAKE) serve-smoke
 	$(MAKE) segments-smoke
 	-$(MAKE) bench-regress
+
+# One backend dispatch (hard gate): the per-backend instances and
+# parameters are named only in lib/serve/backends.ml; every other
+# program file chooses a backend with Backends.select. Tests, bench/
+# and perfbench/ are exempt.
+DISPATCH_NAMES = Pipe_kzg|Pipe_ipa|Serve_kzg|Serve_ipa|kzg_params|ipa_params
+check-dispatch:
+	@hits=$$(grep -rnE '$(DISPATCH_NAMES)' bin lib \
+		| grep -v '^lib/serve/backends\.ml:'); \
+	if [ -n "$$hits" ]; then \
+		echo "check-dispatch: backend instances named outside lib/serve/backends.ml:"; \
+		echo "$$hits"; \
+		exit 1; \
+	fi; \
+	echo "check-dispatch: ok"
 
 # Under-constraint detector (hard gate): run the gadget isolation suite
 # and every zoo model's compiled circuit through the randomized
@@ -93,8 +109,8 @@ bench-par: build
 bench-batch: build
 	dune exec bench/main.exe -- batch
 
-# Quotient-evaluator comparison: prove every zoo model under
-# ZKML_EVAL=interp and with the compiled evaluator, assert the proofs
+# Quotient-evaluator comparison: prove every zoo model with the
+# interpreter oracle and with the compiled evaluator, assert the proofs
 # are byte-identical, write BENCH_PR5.json with rows/sec per model.
 bench-quotient: build
 	dune exec bench/main.exe -- quotient

@@ -761,8 +761,8 @@ let batch () =
 
 (* ------------------------------------------------------------------ *)
 (* quotient: interpreter vs compiled quotient evaluator (PR 5). For
-   every zoo model, proves once under ZKML_EVAL=interp and once with
-   the compiled program, asserts the proof bytes match, and writes
+   every zoo model, proves once with the interpreter oracle
+   (Proto.Testing.prove_interp) and once with the compiled program, asserts the proof bytes match, and writes
    BENCH_PR5.json with interp/compiled rows-per-second per model. *)
 
 let quotient () =
@@ -783,13 +783,10 @@ let quotient () =
           Serve.witness entry ~cfg:m.Zoo.cfg m.Zoo.graph
             (Zoo.sample_inputs ~seed:11L m)
         in
-        let prove_with span_name mode =
-          Unix.putenv "ZKML_EVAL" mode;
-          Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "")
-          @@ fun () ->
+        let prove_with span_name prove =
           let proof, report =
             Obs.with_enabled (fun () ->
-                Serve.Proto.prove params keys
+                prove params keys
                   ~instance:w.Serve.Pipe.w_instance
                   ~advice:(fun _ -> Array.map Array.copy w.Serve.Pipe.w_advice)
                   ~rng:(Zkml_util.Rng.create 11L))
@@ -798,8 +795,10 @@ let quotient () =
             Obs.total_of report span_name,
             Obs.counter_total report "quotient.rows" )
         in
-        let b_i, t_i, rows = prove_with "quotient.interp" "interp" in
-        let b_c, t_c, _ = prove_with "quotient.compiled" "" in
+        let b_i, t_i, rows =
+          prove_with "quotient.interp" Serve.Proto.Testing.prove_interp
+        in
+        let b_c, t_c, _ = prove_with "quotient.compiled" Serve.Proto.prove in
         if not (String.equal b_i b_c) then
           failwith
             (Printf.sprintf "quotient: proof bytes differ on %s" m.Zoo.name);

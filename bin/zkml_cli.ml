@@ -55,26 +55,14 @@ module Metrics = Zkml_obs.Metrics
 module Log = Zkml_obs.Log
 (* The scheme instantiations and SRS parameters live in
    [Zkml_serve.Backends] so the daemon, the load generator and this CLI
-   provably share one setup — byte-identical proofs across all three. *)
+   provably share one setup — byte-identical proofs across all three.
+   Each command selects its backend there once, by the --backend flag. *)
 module B = Zkml_serve.Backends
-module Kzg = B.Kzg
-module Ipa = B.Ipa
-module Serve_kzg = B.Serve_kzg
-module Serve_ipa = B.Serve_ipa
-module Pipe_kzg = B.Pipe_kzg
-module Pipe_ipa = B.Pipe_ipa
 module PF = Zkml_serve.Proof_file
 module SPF = Zkml_serve.Seg_proof
 
 module Err = Zkml_util.Err
 module Fuzz = Zkml_util.Fuzz
-
-let kzg_params = B.kzg_params
-let ipa_params = B.ipa_params
-
-(* The --backend flag's historical semantics: "ipa" selects IPA,
-   anything else the KZG default. *)
-let backend_of_flag s = if s = "ipa" then B.Ipa else B.Kzg
 
 (* Models arrive from outside the process, so loading is total; the
    raising [load_model] below serves the subcommands whose failure mode
@@ -131,12 +119,10 @@ let cmd_export model path =
   0
 
 let cmd_calibrate backend =
-  let times =
-    match backend with
-    | "ipa" -> Pipe_ipa.calibrated (Lazy.force ipa_params)
-    | _ -> Pipe_kzg.calibrated (Lazy.force kzg_params)
-  in
-  Printf.printf "backend %s op-cost profile (BenchmarkOperations):\n" backend;
+  let (module X) = B.select backend in
+  let times = X.Pipe.calibrated (Lazy.force X.params) in
+  Printf.printf "backend %s op-cost profile (BenchmarkOperations):\n"
+    (B.backend_name backend);
   List.iter
     (fun (k, t) -> Printf.printf "  fft    2^%-2d %12.6f s\n" k t)
     times.Zkml_compiler.Costmodel.fft;
@@ -169,12 +155,10 @@ let print_accuracy rows =
    the ntt/msm/lookup/commit phase totals to each segment's labelled
    span, so cost-model accuracy is inspectable per segment. *)
 let cmd_profile_segmented (m : Zoo.model) backend trace_out json segments =
-  (match backend with
-  | "ipa" -> ignore (Pipe_ipa.calibrated (Lazy.force ipa_params))
-  | _ -> ignore (Pipe_kzg.calibrated (Lazy.force kzg_params)));
+  (let (module X) = B.select backend in
+   ignore (X.Pipe.calibrated (Lazy.force X.params)));
   let p, report =
-    Obs.with_enabled (fun () ->
-        SPF.prove m (backend_of_flag backend) 1234 ~segments)
+    Obs.with_enabled (fun () -> SPF.prove m backend 1234 ~segments)
   in
   if json then begin
     print_endline (Obs.summary_json report);
@@ -186,7 +170,7 @@ let cmd_profile_segmented (m : Zoo.model) backend trace_out json segments =
   else begin
     Printf.printf
       "traced segmented proving run of %s (%s backend, %d segments):\n\n"
-      m.Zoo.name backend (List.length p.SPF.p_ks);
+      m.Zoo.name (B.backend_name backend) (List.length p.SPF.p_ks);
     print_string (Obs.tree_string report);
     Printf.printf
       "\nprove_s %.4f s; peak segment rows %d vs %d monolithic\n"
@@ -215,35 +199,18 @@ let cmd_profile model backend trace_out json segments =
   if segments >= 1 then cmd_profile_segmented m backend trace_out json segments
   else
   let inputs = Zoo.sample_inputs m in
-  let run_traced () =
-    match backend with
-    | "ipa" ->
-        let params = Lazy.force ipa_params in
-        (* calibrate outside the trace so the report holds only the
-           proving run *)
-        ignore (Pipe_ipa.calibrated params);
-        let r, report =
-          Obs.with_enabled (fun () ->
-              Pipe_ipa.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs)
-        in
-        ( r.Pipe_ipa.verified,
-          r.Pipe_ipa.prove_s,
-          Pipe_ipa.cost_accuracy params r.Pipe_ipa.plan report,
-          report )
-    | _ ->
-        let params = Lazy.force kzg_params in
-        ignore (Pipe_kzg.calibrated params);
-        let r, report =
-          Obs.with_enabled (fun () ->
-              Pipe_kzg.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs)
-        in
-        ( r.Pipe_kzg.verified,
-          r.Pipe_kzg.prove_s,
-          Pipe_kzg.cost_accuracy params r.Pipe_kzg.plan report,
-          report )
+  let (module X) = B.select backend in
+  let params = Lazy.force X.params in
+  (* calibrate outside the trace so the report holds only the proving
+     run *)
+  ignore (X.Pipe.calibrated params);
+  let r, report =
+    Obs.with_enabled (fun () ->
+        X.Pipe.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs)
   in
-  let verified, prove_s, accuracy, report = run_traced () in
-  if not verified then failwith "profile: self-verification failed";
+  let prove_s = r.X.Pipe.prove_s in
+  let accuracy = X.Pipe.cost_accuracy params r.X.Pipe.plan report in
+  if not r.X.Pipe.verified then failwith "profile: self-verification failed";
   if json then begin
     (* scriptable profile: the summary JSON on stdout, nothing else *)
     print_endline (Obs.summary_json report);
@@ -253,7 +220,8 @@ let cmd_profile model backend trace_out json segments =
     0
   end
   else begin
-  Printf.printf "traced proving run of %s (%s backend):\n\n" m.Zoo.name backend;
+  Printf.printf "traced proving run of %s (%s backend):\n\n" m.Zoo.name
+    (B.backend_name backend);
   print_string (Obs.tree_string report);
   let span_prove = Obs.total_of report "prove" in
   Printf.printf
@@ -298,27 +266,20 @@ let print_plan (plan : Opt.plan) =
   Printf.printf "estimated cost:   %.3f s\n" plan.Opt.est_cost;
   Printf.printf "estimated proof:  %d bytes\n" plan.Opt.est_size
 
+(* The layout optimizer under [backend]'s calibrated cost model. *)
+let optimize_for ?objective backend (m : Zoo.model) exec =
+  let (module X) = B.select backend in
+  Opt.optimize ?objective
+    ~times:(X.Pipe.calibrated (Lazy.force X.params))
+    ~backend:X.Pipe.backend ~group_bytes:X.Scheme.G.size_bytes
+    ~field_bytes:X.Pipe.F.size_bytes ~cfg:m.Zoo.cfg m.Zoo.graph exec
+
 let cmd_optimize model backend objective =
   let m = load_model model in
-  let objective =
-    if objective = "size" then Opt.Min_size else Opt.Min_time
-  in
   let inputs = Zoo.sample_inputs m in
   let qinputs = List.map (T.map (Fx.quantize m.Zoo.cfg)) inputs in
   let exec = Zkml_nn.Quant_exec.run m.Zoo.cfg m.Zoo.graph ~inputs:qinputs in
-  let plan, stats =
-    match backend with
-    | "ipa" ->
-        let params = Lazy.force ipa_params in
-        Opt.optimize ~objective ~times:(Pipe_ipa.calibrated params)
-          ~backend:Zkml_compiler.Costmodel.Ipa ~group_bytes:Ipa.G.size_bytes
-          ~field_bytes:Zkml_ff.Fp61.size_bytes ~cfg:m.Zoo.cfg m.Zoo.graph exec
-    | _ ->
-        let params = Lazy.force kzg_params in
-        Opt.optimize ~objective ~times:(Pipe_kzg.calibrated params)
-          ~backend:Zkml_compiler.Costmodel.Kzg ~group_bytes:Kzg.G.size_bytes
-          ~field_bytes:Zkml_ff.Fp61.size_bytes ~cfg:m.Zoo.cfg m.Zoo.graph exec
-  in
+  let plan, stats = optimize_for ~objective backend m exec in
   Printf.printf "searched %d candidate layouts (%d invalid)\n"
     stats.Opt.candidates stats.Opt.pruned_invalid;
   print_plan plan;
@@ -380,23 +341,7 @@ let cmd_check_constraints model backend seed =
       let exec =
         Zkml_nn.Quant_exec.run m.Zoo.cfg m.Zoo.graph ~inputs:qinputs
       in
-      let plan, _ =
-        match backend with
-        | "ipa" ->
-            let params = Lazy.force ipa_params in
-            Opt.optimize ~times:(Pipe_ipa.calibrated params)
-              ~backend:Zkml_compiler.Costmodel.Ipa
-              ~group_bytes:Ipa.G.size_bytes
-              ~field_bytes:Zkml_ff.Fp61.size_bytes ~cfg:m.Zoo.cfg m.Zoo.graph
-              exec
-        | _ ->
-            let params = Lazy.force kzg_params in
-            Opt.optimize ~times:(Pipe_kzg.calibrated params)
-              ~backend:Zkml_compiler.Costmodel.Kzg
-              ~group_bytes:Kzg.G.size_bytes
-              ~field_bytes:Zkml_ff.Fp61.size_bytes ~cfg:m.Zoo.cfg m.Zoo.graph
-              exec
-      in
+      let plan, _ = optimize_for backend m exec in
       let lowered =
         Zkml_compiler.Lower.lower_with ~spec_fn:plan.Opt.spec_fn
           ~cfg:m.Zoo.cfg ~ncols:plan.Opt.ncols ~counting:false m.Zoo.graph exec
@@ -419,19 +364,20 @@ let cmd_check_constraints model backend seed =
 
 let cmd_prove model backend out seed segments =
   let m = load_model model in
+  let name = B.backend_name backend in
   if segments >= 1 then begin
-    let p = SPF.prove m (backend_of_flag backend) seed ~segments in
+    let p = SPF.prove m backend seed ~segments in
     let oc = open_out out in
     output_string oc p.SPF.p_text;
     close_out oc;
     Printf.printf
       "proved %s with %s in %d segments (k %s; peak rows %d vs %d \
        monolithic) in %.2f s; wrote %s\n"
-      m.Zoo.name backend (List.length p.SPF.p_ks)
+      m.Zoo.name name (List.length p.SPF.p_ks)
       (String.concat "," (List.map string_of_int p.SPF.p_ks))
       p.SPF.p_peak_rows p.SPF.p_mono_rows p.SPF.p_prove_s out;
     Log.event "prove.done"
-      [ ("model", Log.S m.Zoo.name); ("backend", Log.S backend);
+      [ ("model", Log.S m.Zoo.name); ("backend", Log.S name);
         ("segments", Log.I (List.length p.SPF.p_ks));
         ("peak_rows", Log.I p.SPF.p_peak_rows);
         ("prove_s", Log.F p.SPF.p_prove_s); ("out", Log.S out) ];
@@ -439,15 +385,15 @@ let cmd_prove model backend out seed segments =
   end
   else begin
     let text, prove_s, proof_bytes =
-      PF.prove m (backend_of_flag backend) seed
+      PF.prove m backend seed
     in
     let oc = open_out out in
     output_string oc text;
     close_out oc;
     Printf.printf "proved %s with %s in %.2f s (%d B); wrote %s\n" m.Zoo.name
-      backend prove_s proof_bytes out;
+      name prove_s proof_bytes out;
     Log.event "prove.done"
-      [ ("model", Log.S m.Zoo.name); ("backend", Log.S backend);
+      [ ("model", Log.S m.Zoo.name); ("backend", Log.S name);
         ("prove_s", Log.F prove_s); ("proof_bytes", Log.I proof_bytes);
         ("out", Log.S out) ];
     0
@@ -523,6 +469,7 @@ let cmd_verify model proof_path =
    final check for N verifications. *)
 
 let cmd_batch_prove model backend out_prefix seeds segments =
+  let name = B.backend_name backend in
   if seeds = [] then begin
     Printf.eprintf "batch-prove: at least one input SEED is required\n";
     2
@@ -535,7 +482,7 @@ let cmd_batch_prove model backend out_prefix seeds segments =
     let paths =
       List.map
         (fun seed ->
-          let p = SPF.prove m (backend_of_flag backend) seed ~segments in
+          let p = SPF.prove m backend seed ~segments in
           let path = Printf.sprintf "%s-%d.zkp" out_prefix seed in
           let oc = open_out path in
           output_string oc p.SPF.p_text;
@@ -548,11 +495,11 @@ let cmd_batch_prove model backend out_prefix seeds segments =
     Printf.printf
       "proved %d inputs with %s in %d segments in %.2f s (%.2f s/proof \
        amortized)\n"
-      n backend segments total_s
+      n name segments total_s
       (total_s /. float_of_int n);
     List.iter (fun p -> Printf.printf "wrote %s\n" p) paths;
     Log.event "batch_prove.done"
-      [ ("model", Log.S m.Zoo.name); ("backend", Log.S backend);
+      [ ("model", Log.S m.Zoo.name); ("backend", Log.S name);
         ("segments", Log.I segments); ("proofs", Log.I n);
         ("prove_s", Log.F total_s) ];
     0
@@ -564,84 +511,39 @@ let cmd_batch_prove model backend out_prefix seeds segments =
         (fun s -> (Zoo.sample_inputs ~seed:(Int64.of_int s) m, Int64.of_int s))
         seeds
     in
-    let write seed ~spec ~ncols ~k ~instance_ints ~proof_hex =
-      let path = Printf.sprintf "%s-%d.zkp" out_prefix seed in
-      let oc = open_out path in
-      output_string oc
-        (PF.to_string ~backend:(backend_of_flag backend) ~model_name:m.Zoo.name
-           ~cfg:m.Zoo.cfg ~spec ~ncols ~k ~instance_ints ~proof_hex);
-      close_out oc;
-      path
-    in
     let now = Zkml_util.Timer.default_clock in
     let t0 = now () in
-    let status, prepare_s, prove_s, paths =
-      match backend with
-      | "ipa" ->
-          let params = Lazy.force ipa_params in
-          let entry, status =
-            Serve_ipa.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph
-          in
-          let t1 = now () in
-          let pairs =
-            Serve_ipa.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
-          in
-          let t2 = now () in
-          let batch =
-            List.map
-              (fun (w, p) ->
-                ( w.Pipe_ipa.w_instance_ints,
-                  Pipe_ipa.Proto.proof_to_bytes p ))
-              pairs
-          in
-          (match Serve_ipa.verify_batch params entry ~batch with
-          | Pipe_ipa.Proto.Accepted -> ()
-          | _ -> failwith "batch self-verification failed");
-          let paths =
-            List.map2
-              (fun seed (w, p) ->
-                write seed ~spec:entry.Serve_ipa.e_spec
-                  ~ncols:entry.Serve_ipa.e_ncols ~k:entry.Serve_ipa.e_k
-                  ~instance_ints:w.Pipe_ipa.w_instance_ints
-                  ~proof_hex:
-                    (Zkml_util.Bytes_util.to_hex
-                       (Pipe_ipa.Proto.proof_to_bytes p)))
-              seeds pairs
-          in
-          (status, t1 -. t0, t2 -. t1, paths)
-      | _ ->
-          let params = Lazy.force kzg_params in
-          let entry, status =
-            Serve_kzg.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph
-          in
-          let t1 = now () in
-          let pairs =
-            Serve_kzg.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
-          in
-          let t2 = now () in
-          let batch =
-            List.map
-              (fun (w, p) ->
-                ( w.Pipe_kzg.w_instance_ints,
-                  Pipe_kzg.Proto.proof_to_bytes p ))
-              pairs
-          in
-          (match Serve_kzg.verify_batch params entry ~batch with
-          | Pipe_kzg.Proto.Accepted -> ()
-          | _ -> failwith "batch self-verification failed");
-          let paths =
-            List.map2
-              (fun seed (w, p) ->
-                write seed ~spec:entry.Serve_kzg.e_spec
-                  ~ncols:entry.Serve_kzg.e_ncols ~k:entry.Serve_kzg.e_k
-                  ~instance_ints:w.Pipe_kzg.w_instance_ints
-                  ~proof_hex:
-                    (Zkml_util.Bytes_util.to_hex
-                       (Pipe_kzg.Proto.proof_to_bytes p)))
-              seeds pairs
-          in
-          (status, t1 -. t0, t2 -. t1, paths)
+    let (module X) = B.select backend in
+    let params = Lazy.force X.params in
+    let entry, status = X.Serve.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph in
+    let t1 = now () in
+    let pairs =
+      X.Serve.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
     in
+    let t2 = now () in
+    let batch =
+      List.map
+        (fun (w, p) -> (w.X.Pipe.w_instance_ints, X.Proto.proof_to_bytes p))
+        pairs
+    in
+    (match X.Serve.verify_batch params entry ~batch with
+    | X.Proto.Accepted -> ()
+    | _ -> failwith "batch self-verification failed");
+    let paths =
+      List.map2
+        (fun seed (instance_ints, proof) ->
+          let path = Printf.sprintf "%s-%d.zkp" out_prefix seed in
+          let oc = open_out path in
+          output_string oc
+            (PF.to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg
+               ~spec:entry.X.Serve.e_spec ~ncols:entry.X.Serve.e_ncols
+               ~k:entry.X.Serve.e_k ~instance_ints
+               ~proof_hex:(Zkml_util.Bytes_util.to_hex proof));
+          close_out oc;
+          path)
+        seeds batch
+    in
+    let prepare_s = t1 -. t0 and prove_s = t2 -. t1 in
     let n = List.length seeds in
     (* aggregate hit/miss/corrupt across every lookup this process made
        (prepare above, plus any earlier ones), from the always-on
@@ -661,13 +563,13 @@ let cmd_batch_prove model backend out_prefix seeds segments =
     Printf.printf
       "proved %d inputs with %s in %.2f s (%.2f s/proof amortized; prepare \
        %.2f s%s)\n"
-      n backend prove_s
+      n name prove_s
       (prove_s /. float_of_int n)
       prepare_s
       (if Zkml_serve.Artifacts.is_hit status then ", compile skipped" else "");
     List.iter (fun p -> Printf.printf "wrote %s\n" p) paths;
     Log.event "batch_prove.done"
-      [ ("model", Log.S m.Zoo.name); ("backend", Log.S backend);
+      [ ("model", Log.S m.Zoo.name); ("backend", Log.S name);
         ("proofs", Log.I n); ("prepare_s", Log.F prepare_s);
         ("prove_s", Log.F prove_s);
         ("cache_hit", Log.B (Zkml_serve.Artifacts.is_hit status)) ];
@@ -719,33 +621,19 @@ let cmd_batch_verify model proof_paths =
                 List.map (fun pf -> (pf.PF.pf_instance, pf.PF.pf_proof)) pfs
               in
               let run () =
-                match first.PF.pf_backend with
-                | B.Ipa -> (
-                    let params = Lazy.force ipa_params in
-                    match
-                      Serve_ipa.prepare_for_header ~spec:first.PF.pf_spec
-                        ~ncols:first.PF.pf_ncols ~k:first.PF.pf_k
-                        ~cfg:first.PF.pf_cfg params m.Zoo.graph
-                    with
-                    | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
-                    | Ok (entry, status) -> (
-                        match Serve_ipa.verify_batch params entry ~batch with
-                        | Pipe_ipa.Proto.Accepted -> `Accepted status
-                        | Pipe_ipa.Proto.Rejected -> `Rejected
-                        | Pipe_ipa.Proto.Malformed e -> `Malformed e))
-                | B.Kzg -> (
-                    let params = Lazy.force kzg_params in
-                    match
-                      Serve_kzg.prepare_for_header ~spec:first.PF.pf_spec
-                        ~ncols:first.PF.pf_ncols ~k:first.PF.pf_k
-                        ~cfg:first.PF.pf_cfg params m.Zoo.graph
-                    with
-                    | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
-                    | Ok (entry, status) -> (
-                        match Serve_kzg.verify_batch params entry ~batch with
-                        | Pipe_kzg.Proto.Accepted -> `Accepted status
-                        | Pipe_kzg.Proto.Rejected -> `Rejected
-                        | Pipe_kzg.Proto.Malformed e -> `Malformed e))
+                let (module X) = B.select first.PF.pf_backend in
+                let params = Lazy.force X.params in
+                match
+                  X.Serve.prepare_for_header ~spec:first.PF.pf_spec
+                    ~ncols:first.PF.pf_ncols ~k:first.PF.pf_k
+                    ~cfg:first.PF.pf_cfg params m.Zoo.graph
+                with
+                | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
+                | Ok (entry, status) -> (
+                    match X.Serve.verify_batch params entry ~batch with
+                    | X.Proto.Accepted -> `Accepted status
+                    | X.Proto.Rejected -> `Rejected
+                    | X.Proto.Malformed e -> `Malformed e)
               in
               (* run traced so the batched-final-check count is visible *)
               let v, report = Obs.with_enabled run in
@@ -931,16 +819,17 @@ let cmd_fuzz iters seed =
      bytes. Digesting a multi-megabyte payload per mutant is the cost,
      so this corpus runs at a capped iteration count. *)
   Printf.printf "building artifact-cache corpus (mnist/kzg)...\n%!";
+  let (module X) = B.select B.Kzg in
   let cache_key, cache_text =
-    let params = Lazy.force kzg_params in
+    let params = Lazy.force X.params in
     let entry, _ =
-      Serve_kzg.prepare ~cfg:m_mnist.Zoo.cfg params m_mnist.Zoo.graph
+      X.Serve.prepare ~cfg:m_mnist.Zoo.cfg params m_mnist.Zoo.graph
     in
-    let key = Serve_kzg.cache_key ~cfg:m_mnist.Zoo.cfg m_mnist.Zoo.graph in
-    (key, Serve_kzg.entry_to_string ~key entry)
+    let key = X.Serve.cache_key ~cfg:m_mnist.Zoo.cfg m_mnist.Zoo.graph in
+    (key, X.Serve.entry_to_string ~key entry)
   in
   let classify_cache text =
-    match Serve_kzg.entry_of_string ~key:cache_key text with
+    match X.Serve.entry_of_string ~key:cache_key text with
     | Error e -> Fuzz.Malformed (Err.to_string e)
     | Ok _ ->
         (* strict: the digest + field checks admit only the exact
@@ -1082,42 +971,25 @@ let cmd_metrics model backend seed fmt =
       let jobs =
         [ (Zoo.sample_inputs ~seed:(Int64.of_int seed) m, Int64.of_int seed) ]
       in
-      (match backend with
-      | "ipa" ->
-          let params = Lazy.force ipa_params in
-          let entry, _ = Serve_ipa.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph in
-          let pairs =
-            Serve_ipa.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
-          in
-          let batch =
-            List.map
-              (fun (w, p) ->
-                (w.Pipe_ipa.w_instance_ints, Pipe_ipa.Proto.proof_to_bytes p))
-              pairs
-          in
-          (match Serve_ipa.verify_batch params entry ~batch with
-          | Pipe_ipa.Proto.Accepted -> ()
-          | _ -> failwith "metrics: self-verification failed")
-      | _ ->
-          let params = Lazy.force kzg_params in
-          let entry, _ = Serve_kzg.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph in
-          let pairs =
-            Serve_kzg.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
-          in
-          let batch =
-            List.map
-              (fun (w, p) ->
-                (w.Pipe_kzg.w_instance_ints, Pipe_kzg.Proto.proof_to_bytes p))
-              pairs
-          in
-          (match Serve_kzg.verify_batch params entry ~batch with
-          | Pipe_kzg.Proto.Accepted -> ()
-          | _ -> failwith "metrics: self-verification failed")));
+      let (module X) = B.select backend in
+      let params = Lazy.force X.params in
+      let entry, _ = X.Serve.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph in
+      let pairs =
+        X.Serve.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs
+      in
+      let batch =
+        List.map
+          (fun (w, p) -> (w.X.Pipe.w_instance_ints, X.Proto.proof_to_bytes p))
+          pairs
+      in
+      match X.Serve.verify_batch params entry ~batch with
+      | X.Proto.Accepted -> ()
+      | _ -> failwith "metrics: self-verification failed");
   let snap = Metrics.snapshot () in
   (match fmt with
-  | "prom" -> print_string (Metrics.prometheus_string snap)
-  | "json" -> print_endline (Metrics.json_string snap)
-  | _ -> print_metrics_summary snap);
+  | `Prom -> print_string (Metrics.prometheus_string snap)
+  | `Json -> print_endline (Metrics.json_string snap)
+  | `Summary -> print_metrics_summary snap);
   0
 
 (* ------------------------------------------------------------------ *)
@@ -1238,9 +1110,12 @@ let model_arg =
     & info [] ~docv:"MODEL" ~doc:"Zoo model name or path to a .zkml file.")
 
 let backend_arg =
+  let alts = List.map (fun b -> (B.backend_name b, b)) B.all in
   Arg.(
-    value & opt string "kzg"
-    & info [ "backend" ] ~docv:"BACKEND" ~doc:"kzg or ipa.")
+    value
+    & opt (enum alts) B.Kzg
+    & info [ "backend" ] ~docv:"BACKEND"
+        ~doc:("Commitment backend: " ^ doc_alts_enum alts ^ "."))
 
 (* Worker-domain count for the parallel prover. The flag (or the
    ZKML_JOBS environment variable, which the pool also reads on its
@@ -1325,9 +1200,12 @@ let calibrate_cmd =
 
 let optimize_cmd =
   let objective =
+    let alts = [ ("time", Opt.Min_time); ("size", Opt.Min_size) ] in
     Arg.(
-      value & opt string "time"
-      & info [ "objective" ] ~docv:"OBJ" ~doc:"time or size.")
+      value
+      & opt (enum alts) Opt.Min_time
+      & info [ "objective" ] ~docv:"OBJ"
+          ~doc:("Optimizer objective: " ^ doc_alts_enum alts ^ "."))
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Run the circuit-layout optimizer (Algorithm 1).")
@@ -1520,7 +1398,10 @@ let metrics_cmd =
   in
   let fmt =
     Arg.(
-      value & opt string "summary"
+      value
+      & opt
+          (enum [ ("summary", `Summary); ("prom", `Prom); ("json", `Json) ])
+          `Summary
       & info [ "format" ] ~docv:"FMT"
           ~doc:
             "Output format: summary (human table with p50/p90/p99), prom \
@@ -1687,12 +1568,6 @@ let main =
              ~doc:
                "If set to a path, record a chrome-trace of the whole \
                 command there at exit.";
-           Cmd.Env.info "ZKML_EVAL"
-             ~doc:
-               "Quotient evaluator selection: 'interp' forces the \
-                reference AST interpreter; anything else (default) uses \
-                the compiled register program. Proof bytes are identical \
-                either way.";
            Cmd.Env.info "ZKML_METRICS"
              ~doc:
                "If set to a path, write the always-on metrics registry \

@@ -29,8 +29,8 @@
     field values (canonical residues; field [add]/[mul] are
     commutative and [square x = mul x x]), so proofs are byte-identical
     to the interpreter path — which stays available as a reference
-    oracle via [ZKML_EVAL=interp] and is asserted equivalent in
-    [test_evaluator]. *)
+    oracle via [Protocol.Make(_).Testing.prove_interp] and is asserted
+    equivalent in [test_evaluator]. *)
 
 module Make (F : Zkml_ff.Field_intf.S) = struct
   (** Operand of an instruction: a virtual register, an interned

@@ -542,12 +542,14 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       {!Testing}). *)
   type lookup_column = Mult | Helper | Phi
 
-  (* The prover. [tamper] is [None] on every production path; a hook
-     receives a copy of each logUp column just before it is committed
-     and may rewrite it, while the prover's other derivations keep the
-     honest values. With a hook, an input missing from its table is
-     skipped instead of refused. *)
-  let prove_gen ~tamper scheme_params keys ~(instance : F.t array array)
+  (* The prover. [tamper] is [None] and [interp] false on every
+     production path. A tamper hook receives a copy of each logUp column
+     just before it is committed and may rewrite it, while the prover's
+     other derivations keep the honest values. With a hook, an input
+     missing from its table is skipped instead of refused. [interp]
+     evaluates the quotient with the reference AST interpreter instead
+     of the compiled program. *)
+  let prove_gen ~tamper ~interp scheme_params keys ~(instance : F.t array array)
       ~(advice : F.t array -> F.t array array) ~rng =
     Metrics.phase "prove" @@ fun () ->
     Metrics.inc ~help:"Proofs produced" "zkml_proofs_total" 1.0;
@@ -844,13 +846,10 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     and lblind_ext = keys.ind_ext.(2) in
     let coset_points = P.Domain.coset_points keys.ext_domain ~shift in
     let quotient_evals = Array.make ext_n F.zero in
-    let use_interp =
-      match Sys.getenv_opt "ZKML_EVAL" with Some "interp" -> true | _ -> false
-    in
-    (if use_interp then (
+    (if interp then (
        (* Reference oracle: walk the Expr.t ASTs through closures for
-          every row. Kept selectable via ZKML_EVAL=interp so tests can
-          assert the compiled program is byte-identical. *)
+          every row. Reached only through [Testing.prove_interp], so
+          tests can assert the compiled program is byte-identical. *)
        Metrics.phase "quotient_interp" @@ fun () ->
        Obs.Span.with_ ~name:"quotient.interp" @@ fun () ->
        Obs.count "quotient.rows" ext_n;
@@ -980,15 +979,25 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     }
 
   let prove scheme_params keys ~instance ~advice ~rng =
-    prove_gen ~tamper:None scheme_params keys ~instance ~advice ~rng
+    prove_gen ~tamper:None ~interp:false scheme_params keys ~instance ~advice
+      ~rng
 
-  (** Test-only entry point for the mutation suites; the CLI, the daemon
-      and the benchmarks call {!prove}. [tamper what i column] gets a
-      copy of column [i] of kind [what] (a table index for [Mult] and
-      [Phi], a lookup index for [Helper]) before it is committed. *)
+  (** Test-only entry points; the CLI, the daemon and perfbench call
+      {!prove}. *)
   module Testing = struct
+    (** For the mutation suites: [tamper what i column] gets a copy of
+        column [i] of kind [what] (a table index for [Mult] and [Phi], a
+        lookup index for [Helper]) before it is committed. *)
     let prove_tampered ~tamper scheme_params keys ~instance ~advice ~rng =
-      prove_gen ~tamper:(Some tamper) scheme_params keys ~instance ~advice ~rng
+      prove_gen ~tamper:(Some tamper) ~interp:false scheme_params keys
+        ~instance ~advice ~rng
+
+    (** {!prove} with the quotient evaluated by the reference AST
+        interpreter: the oracle the compiled evaluator must match byte
+        for byte. *)
+    let prove_interp scheme_params keys ~instance ~advice ~rng =
+      prove_gen ~tamper:None ~interp:true scheme_params keys ~instance
+        ~advice ~rng
   end
 
   (* ------------------------------------------------------------------ *)

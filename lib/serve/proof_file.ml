@@ -202,43 +202,21 @@ let prove (m : Zoo.model) backend seed =
     in
     built.Zkml_compiler.Layouter.instance_col
   in
-  match backend with
-  | Backends.Ipa ->
-      let params = Lazy.force B.ipa_params in
-      let r =
-        B.Pipe_ipa.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs
-          ~seed:(Int64.of_int seed)
-      in
-      if not r.B.Pipe_ipa.verified then failwith "self-verification failed";
-      let bytes = B.Pipe_ipa.Proto.proof_to_bytes r.B.Pipe_ipa.proof in
-      let plan = r.B.Pipe_ipa.plan in
-      let instance_ints =
-        instance_for plan.Opt.spec_fn plan.Opt.ncols plan.Opt.k
-      in
-      ( to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg
-          ~spec:plan.Opt.spec ~ncols:plan.Opt.ncols ~k:plan.Opt.k
-          ~instance_ints
-          ~proof_hex:(Zkml_util.Bytes_util.to_hex bytes),
-        r.B.Pipe_ipa.prove_s,
-        r.B.Pipe_ipa.proof_bytes )
-  | Backends.Kzg ->
-      let params = Lazy.force B.kzg_params in
-      let r =
-        B.Pipe_kzg.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs
-          ~seed:(Int64.of_int seed)
-      in
-      if not r.B.Pipe_kzg.verified then failwith "self-verification failed";
-      let bytes = B.Pipe_kzg.Proto.proof_to_bytes r.B.Pipe_kzg.proof in
-      let plan = r.B.Pipe_kzg.plan in
-      let instance_ints =
-        instance_for plan.Opt.spec_fn plan.Opt.ncols plan.Opt.k
-      in
-      ( to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg
-          ~spec:plan.Opt.spec ~ncols:plan.Opt.ncols ~k:plan.Opt.k
-          ~instance_ints
-          ~proof_hex:(Zkml_util.Bytes_util.to_hex bytes),
-        r.B.Pipe_kzg.prove_s,
-        r.B.Pipe_kzg.proof_bytes )
+  let (module X) = B.select backend in
+  let params = Lazy.force X.params in
+  let r =
+    X.Pipe.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs
+      ~seed:(Int64.of_int seed)
+  in
+  if not r.X.Pipe.verified then failwith "self-verification failed";
+  let bytes = X.Proto.proof_to_bytes r.X.Pipe.proof in
+  let plan = r.X.Pipe.plan in
+  let instance_ints = instance_for plan.Opt.spec_fn plan.Opt.ncols plan.Opt.k in
+  ( to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg ~spec:plan.Opt.spec
+      ~ncols:plan.Opt.ncols ~k:plan.Opt.k ~instance_ints
+      ~proof_hex:(Zkml_util.Bytes_util.to_hex bytes),
+    r.X.Pipe.prove_s,
+    r.X.Pipe.proof_bytes )
 
 (* Classify a parsed proof file against a model: [`Accepted], [`Rejected]
    (well-formed but false) or [`Malformed of Err.t]. Total — a hostile
@@ -258,45 +236,20 @@ let verdict ~kzg_keys ~ipa_keys (m : Zoo.model) pf =
         (Spec.to_string pf.pf_spec) pf.pf_ncols pf.pf_k
         pf.pf_cfg.Fx.scale_bits pf.pf_cfg.Fx.table_bits
     in
-    let memo cache rebuild =
-      match Hashtbl.find_opt cache header with
-      | Some keys -> keys
-      | None ->
-          let keys = Err.guard Err.Bad_field rebuild in
-          Hashtbl.add cache header keys;
-          keys
-    in
-    match pf.pf_backend with
-    | Backends.Ipa -> (
-        let params = Lazy.force B.ipa_params in
+    let (module X) = B.select pf.pf_backend in
+    let params = Lazy.force X.params in
+    match
+      B.memo_keys (X.pick_keys ~kzg:kzg_keys ~ipa:ipa_keys) header (fun () ->
+          X.Pipe.rebuild_keys params ~spec:pf.pf_spec ~ncols:pf.pf_ncols
+            ~k:pf.pf_k ~cfg:pf.pf_cfg m.Zoo.graph)
+    with
+    | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
+    | Ok keys -> (
         match
-          memo ipa_keys (fun () ->
-              B.Pipe_ipa.rebuild_keys params ~spec:pf.pf_spec
-                ~ncols:pf.pf_ncols ~k:pf.pf_k ~cfg:pf.pf_cfg m.Zoo.graph)
+          X.Pipe.verify_verdict params keys ~instance_ints:pf.pf_instance
+            pf.pf_proof
         with
-        | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
-        | Ok keys -> (
-            match
-              B.Pipe_ipa.verify_verdict params keys
-                ~instance_ints:pf.pf_instance pf.pf_proof
-            with
-            | B.Pipe_ipa.Proto.Accepted -> `Accepted
-            | B.Pipe_ipa.Proto.Rejected -> `Rejected
-            | B.Pipe_ipa.Proto.Malformed e -> `Malformed e))
-    | Backends.Kzg -> (
-        let params = Lazy.force B.kzg_params in
-        match
-          memo kzg_keys (fun () ->
-              B.Pipe_kzg.rebuild_keys params ~spec:pf.pf_spec
-                ~ncols:pf.pf_ncols ~k:pf.pf_k ~cfg:pf.pf_cfg m.Zoo.graph)
-        with
-        | Error e -> `Malformed (Err.with_context "rebuild-keys" e)
-        | Ok keys -> (
-            match
-              B.Pipe_kzg.verify_verdict params keys
-                ~instance_ints:pf.pf_instance pf.pf_proof
-            with
-            | B.Pipe_kzg.Proto.Accepted -> `Accepted
-            | B.Pipe_kzg.Proto.Rejected -> `Rejected
-            | B.Pipe_kzg.Proto.Malformed e -> `Malformed e))
+        | X.Proto.Accepted -> `Accepted
+        | X.Proto.Rejected -> `Rejected
+        | X.Proto.Malformed e -> `Malformed e)
   end

@@ -318,165 +318,79 @@ let prove (m : Zoo.model) backend seed ~segments =
       p_ks = ks;
     }
   in
-  match backend with
-  | Backends.Kzg ->
-      let params = Lazy.force B.kzg_params in
-      let times = B.Pipe_kzg.calibrated params in
-      let plan =
-        plan_for ~times ~backend:B.Pipe_kzg.backend
-          ~group_bytes:B.Kzg.G.size_bytes ~field_bytes:B.Pipe_kzg.F.size_bytes
-          m exec
-      in
-      let spec = plan.Opt.spec and ncols = plan.Opt.ncols in
-      let splan = Seg.plan ~spec ~ncols ~cfg ~segments m.Zoo.graph in
-      let prepared =
-        Array.map
-          (fun (sg : Seg.seg) ->
-            Obs.Span.with_
-              ~name:(Printf.sprintf "segment-%d" sg.Seg.sg_index)
-            @@ fun () ->
-            let rec keys_at k =
-              if k > B.srs_k then
-                failwith "segment does not fit the SRS at any k"
-              else
-                match
-                  B.Serve_kzg.prepare_for_header ~spec ~ncols ~k ~cfg params
-                    sg.Seg.sg_graph
-                with
-                | Ok (entry, _) -> (entry, k)
-                | Error _ -> keys_at (k + 1)
-            in
-            let entry, k = keys_at sg.Seg.sg_k in
-            let w =
-              Metrics.time (Lazy.force witness_seconds) @@ fun () ->
-              B.Pipe_kzg.witness_ints ~spec ~ncols ~k ~cfg sg.Seg.sg_graph
-                (List.map
-                   (fun id -> exec.Zkml_nn.Quant_exec.values.(id))
-                   sg.Seg.sg_imports)
-            in
-            (sg, entry, k, w))
-          splan.Seg.p_segments
-      in
-      let jobs =
-        Array.to_list prepared
-        |> List.mapi (fun i (_, entry, _, w) ->
-               ( entry.B.Serve_kzg.e_keys,
-                 {
-                   B.Pipe_kzg.Proto.job_instance = w.B.Pipe_kzg.w_instance;
-                   job_advice =
-                     (fun _ -> Array.map Array.copy w.B.Pipe_kzg.w_advice);
-                   job_rng =
-                     Zkml_util.Rng.create
-                       (Int64.add (Int64.of_int seed) (Int64.of_int i));
-                 } ))
-      in
-      let proofs, prove_s =
-        Zkml_util.Timer.time (fun () ->
-            B.Pipe_kzg.Proto.prove_segmented params jobs)
-      in
-      let ok =
-        B.Pipe_kzg.Proto.verify_segmented params
-          ~batch:
-            (List.map2
-               (fun (keys, job) proof ->
-                 (keys, job.B.Pipe_kzg.Proto.job_instance, proof))
-               jobs proofs)
-      in
-      if not ok then failwith "segmented self-verification failed";
-      let groups =
-        Array.of_list
-          (List.map2
-             (fun (_, _, k, w) proof ->
-               {
-                 sg_k = k;
-                 sg_instance = w.B.Pipe_kzg.w_instance_ints;
-                 sg_proof = B.Pipe_kzg.Proto.proof_to_bytes proof;
-               })
-             (Array.to_list prepared) proofs)
-      in
-      finish ~spec ~ncols ~splan
-        ~mono_rows:plan.Opt.summary.Zkml_compiler.Layouter.rows_content
-        ~ks:(Array.to_list (Array.map (fun (_, _, k, _) -> k) prepared))
-        ~groups ~prove_s
-  | Backends.Ipa ->
-      let params = Lazy.force B.ipa_params in
-      let times = B.Pipe_ipa.calibrated params in
-      let plan =
-        plan_for ~times ~backend:B.Pipe_ipa.backend
-          ~group_bytes:B.Ipa.G.size_bytes ~field_bytes:B.Pipe_ipa.F.size_bytes
-          m exec
-      in
-      let spec = plan.Opt.spec and ncols = plan.Opt.ncols in
-      let splan = Seg.plan ~spec ~ncols ~cfg ~segments m.Zoo.graph in
-      let prepared =
-        Array.map
-          (fun (sg : Seg.seg) ->
-            Obs.Span.with_
-              ~name:(Printf.sprintf "segment-%d" sg.Seg.sg_index)
-            @@ fun () ->
-            let rec keys_at k =
-              if k > B.srs_k then
-                failwith "segment does not fit the SRS at any k"
-              else
-                match
-                  B.Serve_ipa.prepare_for_header ~spec ~ncols ~k ~cfg params
-                    sg.Seg.sg_graph
-                with
-                | Ok (entry, _) -> (entry, k)
-                | Error _ -> keys_at (k + 1)
-            in
-            let entry, k = keys_at sg.Seg.sg_k in
-            let w =
-              Metrics.time (Lazy.force witness_seconds) @@ fun () ->
-              B.Pipe_ipa.witness_ints ~spec ~ncols ~k ~cfg sg.Seg.sg_graph
-                (List.map
-                   (fun id -> exec.Zkml_nn.Quant_exec.values.(id))
-                   sg.Seg.sg_imports)
-            in
-            (sg, entry, k, w))
-          splan.Seg.p_segments
-      in
-      let jobs =
-        Array.to_list prepared
-        |> List.mapi (fun i (_, entry, _, w) ->
-               ( entry.B.Serve_ipa.e_keys,
-                 {
-                   B.Pipe_ipa.Proto.job_instance = w.B.Pipe_ipa.w_instance;
-                   job_advice =
-                     (fun _ -> Array.map Array.copy w.B.Pipe_ipa.w_advice);
-                   job_rng =
-                     Zkml_util.Rng.create
-                       (Int64.add (Int64.of_int seed) (Int64.of_int i));
-                 } ))
-      in
-      let proofs, prove_s =
-        Zkml_util.Timer.time (fun () ->
-            B.Pipe_ipa.Proto.prove_segmented params jobs)
-      in
-      let ok =
-        B.Pipe_ipa.Proto.verify_segmented params
-          ~batch:
-            (List.map2
-               (fun (keys, job) proof ->
-                 (keys, job.B.Pipe_ipa.Proto.job_instance, proof))
-               jobs proofs)
-      in
-      if not ok then failwith "segmented self-verification failed";
-      let groups =
-        Array.of_list
-          (List.map2
-             (fun (_, _, k, w) proof ->
-               {
-                 sg_k = k;
-                 sg_instance = w.B.Pipe_ipa.w_instance_ints;
-                 sg_proof = B.Pipe_ipa.Proto.proof_to_bytes proof;
-               })
-             (Array.to_list prepared) proofs)
-      in
-      finish ~spec ~ncols ~splan
-        ~mono_rows:plan.Opt.summary.Zkml_compiler.Layouter.rows_content
-        ~ks:(Array.to_list (Array.map (fun (_, _, k, _) -> k) prepared))
-        ~groups ~prove_s
+  let (module X) = B.select backend in
+  let params = Lazy.force X.params in
+  let times = X.Pipe.calibrated params in
+  let plan =
+    plan_for ~times ~backend:X.Pipe.backend ~group_bytes:X.Scheme.G.size_bytes
+      ~field_bytes:X.Pipe.F.size_bytes m exec
+  in
+  let spec = plan.Opt.spec and ncols = plan.Opt.ncols in
+  let splan = Seg.plan ~spec ~ncols ~cfg ~segments m.Zoo.graph in
+  let prepared =
+    Array.map
+      (fun (sg : Seg.seg) ->
+        Obs.Span.with_ ~name:(Printf.sprintf "segment-%d" sg.Seg.sg_index)
+        @@ fun () ->
+        let rec keys_at k =
+          if k > B.srs_k then failwith "segment does not fit the SRS at any k"
+          else
+            match
+              X.Serve.prepare_for_header ~spec ~ncols ~k ~cfg params
+                sg.Seg.sg_graph
+            with
+            | Ok (entry, _) -> (entry, k)
+            | Error _ -> keys_at (k + 1)
+        in
+        let entry, k = keys_at sg.Seg.sg_k in
+        let w =
+          Metrics.time (Lazy.force witness_seconds) @@ fun () ->
+          X.Pipe.witness_ints ~spec ~ncols ~k ~cfg sg.Seg.sg_graph
+            (List.map
+               (fun id -> exec.Zkml_nn.Quant_exec.values.(id))
+               sg.Seg.sg_imports)
+        in
+        (sg, entry, k, w))
+      splan.Seg.p_segments
+  in
+  let jobs =
+    Array.to_list prepared
+    |> List.mapi (fun i (_, entry, _, w) ->
+           ( entry.X.Serve.e_keys,
+             {
+               X.Proto.job_instance = w.X.Pipe.w_instance;
+               job_advice = (fun _ -> Array.map Array.copy w.X.Pipe.w_advice);
+               job_rng =
+                 Zkml_util.Rng.create
+                   (Int64.add (Int64.of_int seed) (Int64.of_int i));
+             } ))
+  in
+  let proofs, prove_s =
+    Zkml_util.Timer.time (fun () -> X.Proto.prove_segmented params jobs)
+  in
+  let ok =
+    X.Proto.verify_segmented params
+      ~batch:
+        (List.map2
+           (fun (keys, job) proof -> (keys, job.X.Proto.job_instance, proof))
+           jobs proofs)
+  in
+  if not ok then failwith "segmented self-verification failed";
+  let groups =
+    Array.of_list
+      (List.map2
+         (fun (_, _, k, w) proof ->
+           {
+             sg_k = k;
+             sg_instance = w.X.Pipe.w_instance_ints;
+             sg_proof = X.Proto.proof_to_bytes proof;
+           })
+         (Array.to_list prepared) proofs)
+  in
+  finish ~spec ~ncols ~splan
+    ~mono_rows:plan.Opt.summary.Zkml_compiler.Layouter.rows_content
+    ~ks:(Array.to_list (Array.map (fun (_, _, k, _) -> k) prepared))
+    ~groups ~prove_s
 
 (* ------------------------------------------------------------------ *)
 (* Verdict *)
@@ -574,81 +488,32 @@ let verdict ~kzg_keys ~ipa_keys (m : Zoo.model) sp =
                 (Spec.to_string sp.sp_spec) sp.sp_ncols k
                 sp.sp_cfg.Fx.scale_bits sp.sp_cfg.Fx.table_bits i segments
             in
-            let memo cache key rebuild =
-              match Hashtbl.find_opt cache key with
-              | Some keys -> keys
-              | None ->
-                  let keys = Err.guard Err.Bad_field rebuild in
-                  Hashtbl.add cache key keys;
-                  keys
+            let (module X) = B.select sp.sp_backend in
+            let params = Lazy.force X.params in
+            let cache = X.pick_keys ~kzg:kzg_keys ~ipa:ipa_keys in
+            let rec build acc i =
+              if i = segments then Ok (List.rev acc)
+              else
+                let sg = splan.Seg.p_segments.(i) in
+                let g = sp.sp_groups.(i) in
+                match
+                  B.memo_keys cache (header i g.sg_k) (fun () ->
+                      X.Pipe.rebuild_keys params ~spec:sp.sp_spec
+                        ~ncols:sp.sp_ncols ~k:g.sg_k ~cfg:sp.sp_cfg
+                        sg.Seg.sg_graph)
+                with
+                | Error e -> Error (Err.with_context "rebuild-keys" e)
+                | Ok keys -> (
+                    match X.Pipe.instance_col_of_ints keys g.sg_instance with
+                    | Error e -> Error e
+                    | Ok instance ->
+                        build ((keys, instance, g.sg_proof) :: acc) (i + 1))
             in
-            match sp.sp_backend with
-            | Backends.Kzg -> (
-                let params = Lazy.force B.kzg_params in
-                let rec build acc i =
-                  if i = segments then Ok (List.rev acc)
-                  else
-                    let sg = splan.Seg.p_segments.(i) in
-                    let g = sp.sp_groups.(i) in
-                    match
-                      memo kzg_keys
-                        (header i g.sg_k)
-                        (fun () ->
-                          B.Pipe_kzg.rebuild_keys params ~spec:sp.sp_spec
-                            ~ncols:sp.sp_ncols ~k:g.sg_k ~cfg:sp.sp_cfg
-                            sg.Seg.sg_graph)
-                    with
-                    | Error e -> Error (Err.with_context "rebuild-keys" e)
-                    | Ok keys -> (
-                        match
-                          B.Pipe_kzg.instance_col_of_ints keys g.sg_instance
-                        with
-                        | Error e -> Error e
-                        | Ok instance ->
-                            build ((keys, instance, g.sg_proof) :: acc) (i + 1)
-                        )
-                in
-                match build [] 0 with
-                | Error e -> tally "malformed" (`Malformed e)
-                | Ok batch -> (
-                    match
-                      B.Pipe_kzg.Proto.verify_segmented_bytes params ~batch
-                    with
-                    | B.Pipe_kzg.Proto.Accepted -> `Accepted
-                    | B.Pipe_kzg.Proto.Rejected -> `Rejected
-                    | B.Pipe_kzg.Proto.Malformed e -> `Malformed e))
-            | Backends.Ipa -> (
-                let params = Lazy.force B.ipa_params in
-                let rec build acc i =
-                  if i = segments then Ok (List.rev acc)
-                  else
-                    let sg = splan.Seg.p_segments.(i) in
-                    let g = sp.sp_groups.(i) in
-                    match
-                      memo ipa_keys
-                        (header i g.sg_k)
-                        (fun () ->
-                          B.Pipe_ipa.rebuild_keys params ~spec:sp.sp_spec
-                            ~ncols:sp.sp_ncols ~k:g.sg_k ~cfg:sp.sp_cfg
-                            sg.Seg.sg_graph)
-                    with
-                    | Error e -> Error (Err.with_context "rebuild-keys" e)
-                    | Ok keys -> (
-                        match
-                          B.Pipe_ipa.instance_col_of_ints keys g.sg_instance
-                        with
-                        | Error e -> Error e
-                        | Ok instance ->
-                            build ((keys, instance, g.sg_proof) :: acc) (i + 1)
-                        )
-                in
-                match build [] 0 with
-                | Error e -> tally "malformed" (`Malformed e)
-                | Ok batch -> (
-                    match
-                      B.Pipe_ipa.Proto.verify_segmented_bytes params ~batch
-                    with
-                    | B.Pipe_ipa.Proto.Accepted -> `Accepted
-                    | B.Pipe_ipa.Proto.Rejected -> `Rejected
-                    | B.Pipe_ipa.Proto.Malformed e -> `Malformed e))))
+            match build [] 0 with
+            | Error e -> tally "malformed" (`Malformed e)
+            | Ok batch -> (
+                match X.Proto.verify_segmented_bytes params ~batch with
+                | X.Proto.Accepted -> `Accepted
+                | X.Proto.Rejected -> `Rejected
+                | X.Proto.Malformed e -> `Malformed e)))
   end

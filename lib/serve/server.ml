@@ -118,51 +118,24 @@ let env_segments () =
 let handle_prove ~backend ~model ~seeds =
   match zoo_model model with
   | Error e -> Wire.Verdict { code = 2; detail = Err.to_string e }
-  | Ok m -> (
+  | Ok m ->
+      let (module X) = B.select backend in
+      let params = Lazy.force X.params in
       let jobs = List.map (fun s -> (Zoo.sample_inputs ~seed:s m, s)) seeds in
-      let texts entry_spec entry_ncols entry_k pairs instance_of hex_of =
-        List.map
-          (fun pair ->
-            Proof_file.to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg
-              ~spec:entry_spec ~ncols:entry_ncols ~k:entry_k
-              ~instance_ints:(instance_of pair) ~proof_hex:(hex_of pair))
-          pairs
+      let entry, _ =
+        Mutex.protect prepare_mu (fun () ->
+            X.Serve.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph)
       in
-      match backend with
-      | B.Ipa ->
-          let params = Lazy.force B.ipa_params in
-          let entry, _ =
-            Mutex.protect prepare_mu (fun () ->
-                B.Serve_ipa.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph)
-          in
-          let pairs =
-            B.Serve_ipa.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph
-              jobs
-          in
-          Wire.Proofs
-            (texts entry.B.Serve_ipa.e_spec entry.B.Serve_ipa.e_ncols
-               entry.B.Serve_ipa.e_k pairs
-               (fun (w, _) -> w.B.Pipe_ipa.w_instance_ints)
-               (fun (_, p) ->
-                 Zkml_util.Bytes_util.to_hex
-                   (B.Pipe_ipa.Proto.proof_to_bytes p)))
-      | B.Kzg ->
-          let params = Lazy.force B.kzg_params in
-          let entry, _ =
-            Mutex.protect prepare_mu (fun () ->
-                B.Serve_kzg.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph)
-          in
-          let pairs =
-            B.Serve_kzg.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph
-              jobs
-          in
-          Wire.Proofs
-            (texts entry.B.Serve_kzg.e_spec entry.B.Serve_kzg.e_ncols
-               entry.B.Serve_kzg.e_k pairs
-               (fun (w, _) -> w.B.Pipe_kzg.w_instance_ints)
-               (fun (_, p) ->
-                 Zkml_util.Bytes_util.to_hex
-                   (B.Pipe_kzg.Proto.proof_to_bytes p))))
+      Wire.Proofs
+        (List.map
+           (fun (w, p) ->
+             Proof_file.to_string ~backend ~model_name:m.Zoo.name
+               ~cfg:m.Zoo.cfg ~spec:entry.X.Serve.e_spec
+               ~ncols:entry.X.Serve.e_ncols ~k:entry.X.Serve.e_k
+               ~instance_ints:w.X.Pipe.w_instance_ints
+               ~proof_hex:
+                 (Zkml_util.Bytes_util.to_hex (X.Proto.proof_to_bytes p)))
+           (X.Serve.prove_batch params entry ~cfg:m.Zoo.cfg m.Zoo.graph jobs))
 
 (* Verify through the artifact cache ([prepare_for_header]) so repeat
    verifications of one circuit skip keygen. The pipeline's
@@ -213,55 +186,29 @@ let handle_verify ~model ~proof =
               }
           else begin
             let open Proof_file in
-            let verdict prepare verify =
-              match Mutex.protect prepare_mu prepare with
-              | Error e ->
-                  Wire.Verdict
-                    {
-                      code = 2;
-                      detail = Err.to_string (Err.with_context "rebuild-keys" e);
-                    }
-              | Ok (entry, _status) -> verify entry
-            in
-            match pf.pf_backend with
-            | B.Ipa ->
-                let params = Lazy.force B.ipa_params in
-                verdict
-                  (fun () ->
-                    B.Serve_ipa.prepare_for_header ~spec:pf.pf_spec
-                      ~ncols:pf.pf_ncols ~k:pf.pf_k ~cfg:pf.pf_cfg params
-                      m.Zoo.graph)
-                  (fun entry ->
-                    match
-                      B.Pipe_ipa.verify_verdict params
-                        entry.B.Serve_ipa.e_keys ~instance_ints:pf.pf_instance
-                        pf.pf_proof
-                    with
-                    | B.Pipe_ipa.Proto.Accepted ->
-                        Wire.Verdict { code = 0; detail = "" }
-                    | B.Pipe_ipa.Proto.Rejected ->
-                        Wire.Verdict { code = 1; detail = "" }
-                    | B.Pipe_ipa.Proto.Malformed e ->
-                        Wire.Verdict { code = 2; detail = Err.to_string e })
-            | B.Kzg ->
-                let params = Lazy.force B.kzg_params in
-                verdict
-                  (fun () ->
-                    B.Serve_kzg.prepare_for_header ~spec:pf.pf_spec
-                      ~ncols:pf.pf_ncols ~k:pf.pf_k ~cfg:pf.pf_cfg params
-                      m.Zoo.graph)
-                  (fun entry ->
-                    match
-                      B.Pipe_kzg.verify_verdict params
-                        entry.B.Serve_kzg.e_keys ~instance_ints:pf.pf_instance
-                        pf.pf_proof
-                    with
-                    | B.Pipe_kzg.Proto.Accepted ->
-                        Wire.Verdict { code = 0; detail = "" }
-                    | B.Pipe_kzg.Proto.Rejected ->
-                        Wire.Verdict { code = 1; detail = "" }
-                    | B.Pipe_kzg.Proto.Malformed e ->
-                        Wire.Verdict { code = 2; detail = Err.to_string e })
+            let (module X) = B.select pf.pf_backend in
+            let params = Lazy.force X.params in
+            match
+              Mutex.protect prepare_mu (fun () ->
+                  X.Serve.prepare_for_header ~spec:pf.pf_spec
+                    ~ncols:pf.pf_ncols ~k:pf.pf_k ~cfg:pf.pf_cfg params
+                    m.Zoo.graph)
+            with
+            | Error e ->
+                Wire.Verdict
+                  {
+                    code = 2;
+                    detail = Err.to_string (Err.with_context "rebuild-keys" e);
+                  }
+            | Ok (entry, _status) -> (
+                match
+                  X.Pipe.verify_verdict params entry.X.Serve.e_keys
+                    ~instance_ints:pf.pf_instance pf.pf_proof
+                with
+                | X.Proto.Accepted -> Wire.Verdict { code = 0; detail = "" }
+                | X.Proto.Rejected -> Wire.Verdict { code = 1; detail = "" }
+                | X.Proto.Malformed e ->
+                    Wire.Verdict { code = 2; detail = Err.to_string e })
           end)
 
 (* Total: no request — however hostile — kills a worker. Anything that
@@ -441,11 +388,12 @@ let warm_models names =
           Log.event ~level:Log.Warn "server.warm"
             [ ("model", Log.S name); ("error", Log.S (Err.to_string e)) ]
       | Ok m ->
-          let params = Lazy.force B.kzg_params in
+          let (module X) = B.select B.Kzg in
+          let params = Lazy.force X.params in
           let t0 = Zkml_obs.Mclock.now_s () in
           let _, status =
             Mutex.protect prepare_mu (fun () ->
-                B.Serve_kzg.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph)
+                X.Serve.prepare ~cfg:m.Zoo.cfg params m.Zoo.graph)
           in
           Log.event "server.warm"
             [ ("model", Log.S name);

@@ -2,7 +2,7 @@
 
    The evaluator lowers the combined constraint polynomial into a flat
    register program once per circuit; the interpreter path
-   (ZKML_EVAL=interp) stays available as a reference oracle. Three
+   (Proto.Testing.prove_interp) stays available as a reference oracle. Three
    layers of checks:
 
    1. qcheck: random expression lists (every Expr constructor,
@@ -39,12 +39,9 @@ let with_jobs j f =
   Pool.set_jobs j;
   Fun.protect ~finally:(fun () -> Pool.set_jobs saved) f
 
-(* ZKML_EVAL can only be overwritten, not unset; "" selects the default
-   (compiled) path, so restoring to "" is equivalent to never setting
-   it. *)
-let with_eval mode f =
-  Unix.putenv "ZKML_EVAL" mode;
-  Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "") f
+(* The two quotient evaluators: the compiled program every production
+   prove runs, and the interpreter oracle. *)
+let prover interp = if interp then Proto.Testing.prove_interp else Proto.prove
 
 (* ------------------------------------------------------------------ *)
 (* 1. qcheck: compiled program vs a direct Expr.eval fold.             *)
@@ -257,22 +254,22 @@ let test_hand_circuit_identical () =
   let params = Kzg.setup ~max_size:64 ~seed:"test-evaluator" in
   let keys = Proto.keygen params hand_circuit ~fixed:(hand_fixed ()) in
   let adv = hand_advice () in
-  let prove () =
+  let prove interp () =
     Proto.proof_to_bytes
-      (Proto.prove params keys ~instance:(hand_instance ())
+      (prover interp params keys ~instance:(hand_instance ())
          ~advice:(fun _ -> Array.map Array.copy adv)
          ~rng:(Zkml_util.Rng.create 101L))
   in
-  let reference = with_jobs 1 (fun () -> with_eval "interp" prove) in
+  let reference = with_jobs 1 (prove true) in
   List.iter
-    (fun (jobs, mode) ->
-      let bytes = with_jobs jobs (fun () -> with_eval mode prove) in
+    (fun (jobs, interp) ->
+      let bytes = with_jobs jobs (prove interp) in
       Alcotest.(check bool)
         (Printf.sprintf "jobs=%d %s = interp/jobs=1" jobs
-           (if mode = "interp" then "interp" else "compiled"))
+           (if interp then "interp" else "compiled"))
         true
         (String.equal reference bytes))
-    [ (1, ""); (4, "interp"); (4, "") ];
+    [ (1, false); (4, true); (4, false) ];
   let proof = Proto.prove params keys ~instance:(hand_instance ())
       ~advice:(fun _ -> Array.map Array.copy adv)
       ~rng:(Zkml_util.Rng.create 101L)
@@ -295,34 +292,33 @@ let run_model name =
     Serve.witness entry ~cfg:m.Zoo.cfg m.Zoo.graph
       (Zoo.sample_inputs ~seed:1234L m)
   in
-  let prove () =
-    Proto.prove params keys ~instance:w.Pipe.w_instance
+  let prove interp =
+    prover interp params keys ~instance:w.Pipe.w_instance
       ~advice:(fun _ -> Array.map Array.copy w.Pipe.w_advice)
       ~rng:(Zkml_util.Rng.create 1234L)
   in
   let reference =
-    with_jobs 1 (fun () -> with_eval "interp" (fun () ->
-        let p = prove () in
+    with_jobs 1 (fun () ->
+        let p = prove true in
         Alcotest.(check bool)
           (name ^ " interp proof verifies")
           true
           (Proto.verify params keys ~instance:w.Pipe.w_instance p);
-        Proto.proof_to_bytes p))
+        Proto.proof_to_bytes p)
   in
   List.iter
-    (fun (jobs, mode, label) ->
+    (fun (jobs, interp, label) ->
       let bytes =
-        with_jobs jobs (fun () ->
-            with_eval mode (fun () -> Proto.proof_to_bytes (prove ())))
+        with_jobs jobs (fun () -> Proto.proof_to_bytes (prove interp))
       in
       Alcotest.(check bool)
         (Printf.sprintf "%s %s byte-identical to interp/jobs=1" name label)
         true
         (String.equal reference bytes))
     [
-      (1, "", "compiled/jobs=1");
-      (4, "interp", "interp/jobs=4");
-      (4, "", "compiled/jobs=4");
+      (1, false, "compiled/jobs=1");
+      (4, true, "interp/jobs=4");
+      (4, false, "compiled/jobs=4");
     ]
 
 let zoo_small () = List.iter run_model [ "mnist"; "dlrm"; "twitter"; "gpt2" ]

@@ -427,12 +427,12 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
             [ 1; 4 ]
         in
         (* the reference interpreter agrees with the compiled evaluator
-           at this factor; ZKML_EVAL can only be overwritten, and ""
-           selects the default *)
+           at this factor *)
         let interp =
-          Unix.putenv "ZKML_EVAL" "interp";
-          Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "")
-          @@ fun () -> Proto.proof_to_bytes (prove adv)
+          Proto.proof_to_bytes
+            (Proto.Testing.prove_interp params keys ~instance
+               ~advice:(fun _ -> Array.map Array.copy adv)
+               ~rng:(Zkml_util.Rng.create 7L))
         in
         List.iter2
           (fun what b ->
@@ -566,9 +566,10 @@ module Make_suite (Scheme : Zkml_commit.Scheme_intf.S) = struct
           (F.equal (F.of_int m) (Hashtbl.find seen ti).(row)))
       c.lk_mult;
     let interp =
-      Unix.putenv "ZKML_EVAL" "interp";
-      Fun.protect ~finally:(fun () -> Unix.putenv "ZKML_EVAL" "")
-      @@ fun () -> Proto.proof_to_bytes (prove ())
+      Proto.proof_to_bytes
+        (Proto.Testing.prove_interp params keys ~instance:[||]
+           ~advice:(fun _ -> Array.map Array.copy advice)
+           ~rng:(Zkml_util.Rng.create 9L))
     in
     List.iter2
       (fun what b ->
