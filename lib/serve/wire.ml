@@ -196,6 +196,17 @@ let decode_frame s =
 (* ------------------------------------------------------------------ *)
 (* payload codecs *)
 
+(* The one-byte backend tag of the Prove and Prove_seg payloads. *)
+let backend_tags = [ (Backends.Kzg, 0); (Backends.Ipa, 1) ]
+let backend_tag b = List.assoc b backend_tags
+
+let get_backend r =
+  let* t = get_u8 r ~what:"backend" in
+  match List.find_opt (fun (_, t') -> t' = t) backend_tags with
+  | Some (b, _) -> Ok b
+  | None ->
+      failf ~offset:(Byte (Reader.pos r - 1)) Unknown_variant "backend tag %d" t
+
 let encode_request req =
   let buf = Buffer.create 64 in
   let kind =
@@ -203,14 +214,14 @@ let encode_request req =
     | Ping -> k_ping
     | Prove { tenant; backend; model; seeds } ->
         put_str16 buf tenant;
-        put_u8 buf (match backend with Backends.Kzg -> 0 | Backends.Ipa -> 1);
+        put_u8 buf (backend_tag backend);
         put_str16 buf model;
         put_u16 buf (List.length seeds);
         List.iter (put_i64 buf) seeds;
         k_prove
     | Prove_seg { tenant; backend; model; segments; seeds } ->
         put_str16 buf tenant;
-        put_u8 buf (match backend with Backends.Kzg -> 0 | Backends.Ipa -> 1);
+        put_u8 buf (backend_tag backend);
         put_str16 buf model;
         put_u8 buf segments;
         put_u16 buf (List.length seeds);
@@ -251,15 +262,7 @@ let request_of_payload kind payload =
     if kind = k_ping then Ok Ping
     else if kind = k_prove then begin
       let* tenant = get_name r ~what:"tenant" in
-      let* b = get_u8 r ~what:"backend" in
-      let* backend =
-        match b with
-        | 0 -> Ok Backends.Kzg
-        | 1 -> Ok Backends.Ipa
-        | _ ->
-            failf ~offset:(Byte (Reader.pos r - 1)) Unknown_variant
-              "backend tag %d" b
-      in
+      let* backend = get_backend r in
       let* model = get_name r ~what:"model" in
       let nstart = Reader.pos r in
       let* n = get_u16 r ~what:"seed count" in
@@ -280,15 +283,7 @@ let request_of_payload kind payload =
     end
     else if kind = k_prove_seg then begin
       let* tenant = get_name r ~what:"tenant" in
-      let* b = get_u8 r ~what:"backend" in
-      let* backend =
-        match b with
-        | 0 -> Ok Backends.Kzg
-        | 1 -> Ok Backends.Ipa
-        | _ ->
-            failf ~offset:(Byte (Reader.pos r - 1)) Unknown_variant
-              "backend tag %d" b
-      in
+      let* backend = get_backend r in
       let* model = get_name r ~what:"model" in
       let sstart = Reader.pos r in
       let* segments = get_u8 r ~what:"segment count" in

@@ -304,6 +304,30 @@ let test_load_entry_total () =
   | Some (Ok _) -> Alcotest.fail "garbage parsed as a cache entry"
   | None -> Alcotest.fail "existing file reported as absent"
 
+(* ------------------------------------------------------------------ *)
+(* backend dispatch: [select] hands back each backend's own instance,
+   and that instance is the process-wide one (same calibration cache),
+   not a second application of the stateful functors *)
+
+let test_select () =
+  let module B = Zkml_serve.Backends in
+  List.iter
+    (fun b ->
+      let name = B.backend_name b in
+      let (module X) = B.select b in
+      Alcotest.(check bool) (name ^ ": tag") true (X.backend = b);
+      Alcotest.(check string) (name ^ ": scheme") name X.Scheme.name;
+      Alcotest.(check (option string)) (name ^ ": name round-trips")
+        (Some name) (Option.map B.backend_name (B.backend_of_string name));
+      let shared =
+        match b with
+        | B.Kzg -> B.Pipe_kzg.times_cache
+        | B.Ipa -> B.Pipe_ipa.times_cache
+      in
+      Alcotest.(check bool) (name ^ ": shared pipeline instance") true
+        (X.Pipe.times_cache == shared))
+    B.all
+
 let () =
   let restore_cache_after f () =
     (* tests above deliberately destroy the disk entry; rebuild state
@@ -334,4 +358,5 @@ let () =
           Alcotest.test_case "load_entry_total" `Quick
             (restore_cache_after test_load_entry_total);
         ] );
+      ("dispatch", [ Alcotest.test_case "select" `Quick test_select ]);
     ]
