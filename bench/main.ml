@@ -847,21 +847,26 @@ let quotient () =
    (default: all three; make bench-ff / bench-msm run the filtered
    subsets into a scratch dir). *)
 
+(* Times [iters] calls of [f]: (label, op, iters, total seconds, minor
+   words per op). *)
+let time_field_op label name iters f =
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  let t = Unix.gettimeofday () -. t0 in
+  (label, name, iters, t, (Gc.minor_words () -. w0) /. float_of_int iters)
+
 module Field_kernel_rows (F : Zkml_ff.Limb4.S_EXT) = struct
-  (* (field, op, iters, total seconds) rows; a sink reference keeps the
-     allocating ops from being dead-code-eliminated. *)
+  (* a sink reference keeps the allocating ops from being
+     dead-code-eliminated *)
   let rows label =
     let rng = Zkml_util.Rng.create 7L in
     let a = F.random rng and b = F.random rng in
     let dst = F.scratch () in
     let sink = ref F.zero in
-    let time name iters f =
-      let t0 = Unix.gettimeofday () in
-      for _ = 1 to iters do
-        f ()
-      done;
-      (label, name, iters, Unix.gettimeofday () -. t0)
-    in
+    let time = time_field_op label in
     let rows =
       [ time "add" 2_000_000 (fun () -> sink := F.add a b);
         time "mul" 500_000 (fun () -> sink := F.mul a b);
@@ -869,6 +874,24 @@ module Field_kernel_rows (F : Zkml_ff.Limb4.S_EXT) = struct
         time "add_into" 2_000_000 (fun () -> F.add_into dst a b);
         time "mul_into" 500_000 (fun () -> F.mul_into dst a b);
         time "square_into" 500_000 (fun () -> F.square_into dst a)
+      ]
+    in
+    ignore !sink;
+    rows
+end
+
+(* The allocating ops through a functor parameter, as the pipeline
+   calls them under Sim61; a direct call would let cross-module inlining
+   flatter the kernel. *)
+module Functor_field_rows (F : Zkml_ff.Field_intf.S) = struct
+  let rows label =
+    let rng = Zkml_util.Rng.create 7L in
+    let a = F.random rng and b = F.random rng in
+    let sink = ref F.zero in
+    let time = time_field_op label in
+    let rows =
+      [ time "add" 20_000_000 (fun () -> sink := F.add a b);
+        time "mul" 20_000_000 (fun () -> sink := F.mul a b)
       ]
     in
     ignore !sink;
@@ -922,32 +945,17 @@ let kernels () =
     else begin
       let module Fp_rows = Field_kernel_rows (Zkml_ff.Pasta.Fp) in
       let module Fq_rows = Field_kernel_rows (Zkml_ff.Pasta.Fq) in
-      let fp61_rows =
-        (* Fp61 has no in-place variants (immutable repr); time the
-           allocating ops it actually runs in the Sim61 pipeline. *)
-        let rng = Zkml_util.Rng.create 7L in
-        let a = Zkml_ff.Fp61.random rng and b = Zkml_ff.Fp61.random rng in
-        let sink = ref Zkml_ff.Fp61.zero in
-        let time name iters f =
-          let t0 = Unix.gettimeofday () in
-          for _ = 1 to iters do
-            f ()
-          done;
-          ("fp61", name, iters, Unix.gettimeofday () -. t0)
-        in
-        let rows =
-          [ time "add" 20_000_000 (fun () -> sink := Zkml_ff.Fp61.add a b);
-            time "mul" 20_000_000 (fun () -> sink := Zkml_ff.Fp61.mul a b)
-          ]
-        in
-        ignore !sink;
-        rows
+      let module Fp61_rows = Functor_field_rows (Zkml_ff.Fp61) in
+      let rows =
+        Fp_rows.rows "pasta_fp" @ Fq_rows.rows "pasta_fq"
+        @ Fp61_rows.rows "fp61"
       in
-      let rows = Fp_rows.rows "pasta_fp" @ Fq_rows.rows "pasta_fq" @ fp61_rows in
       List.iter
-        (fun (field, op, iters, t) ->
-          Printf.printf "ff   %-8s %-12s %9.1f ns/op\n%!" field op
-            (t *. 1e9 /. float_of_int iters))
+        (fun (field, op, iters, t, words) ->
+          Printf.printf "ff   %-8s %-12s %9.1f ns/op %7.2f minor words/op\n%!"
+            field op
+            (t *. 1e9 /. float_of_int iters)
+            words)
         rows;
       rows
     end
@@ -1007,13 +1015,14 @@ let kernels () =
     schema_version window_table
     (String.concat ","
        (List.map
-          (fun (field, op, iters, t) ->
+          (fun (field, op, iters, t, words) ->
             Printf.sprintf
-              "{\"field\":\"%s\",\"op\":\"%s\",\"iters\":%d,\"total_s\":%s,\"ns_per_op\":%s,\"mops_per_s\":%s}"
+              "{\"field\":\"%s\",\"op\":\"%s\",\"iters\":%d,\"total_s\":%s,\"ns_per_op\":%s,\"mops_per_s\":%s,\"minor_words_per_op\":%s}"
               field op iters (Obs.json_float t)
               (Obs.json_float (t *. 1e9 /. float_of_int iters))
               (Obs.json_float
-                 (float_of_int iters /. Float.max t 1e-9 /. 1e6)))
+                 (float_of_int iters /. Float.max t 1e-9 /. 1e6))
+              (Obs.json_float words))
           ff_rows))
     (String.concat ","
        (List.map

@@ -1,9 +1,11 @@
 (** Signature of prime fields used throughout the proving stack.
 
-    Two instantiations exist: {!Fp61} (a 62-bit NTT-friendly prime, used
-    for fast benchmark sweeps) and the 255-bit Pasta fields in {!Pasta}
-    (the real halo2 curve cycle, built on the {!Limb4} Montgomery
-    functor). All protocol code is functorized over this signature. *)
+    Two instantiations exist: {!Fp61} (a 62-bit NTT-friendly prime held
+    as an immediate Montgomery [int], the production field of every
+    proof the CLI and the daemon emit) and the 255-bit Pasta fields in
+    {!Pasta} (the real halo2 curve cycle, built on the {!Limb4}
+    Montgomery functor). All protocol code is functorized over this
+    signature. *)
 
 module type S = sig
   type t
@@ -88,9 +90,10 @@ module type S = sig
       structurally ([Array.make n zero] aliases one buffer n times).
 
       Fields with an immutable representation ([mutable_repr = false],
-      e.g. the boxed-[int64] {!Fp61}) raise [Invalid_argument] from
-      every [_into] operation; [unshare] is the identity there. Generic
-      code must branch on [mutable_repr]. *)
+      e.g. {!Fp61}, whose elements are immediate [int]s and whose
+      allocating API therefore allocates nothing) raise
+      [Invalid_argument] from every [_into] operation; [unshare] is the
+      identity there. Generic code must branch on [mutable_repr]. *)
 
   val mutable_repr : bool
   (** Whether [t] is a caller-mutable buffer and the [_into] ops below

@@ -1,77 +1,100 @@
 (* The NTT-friendly prime p = 29 * 2^57 + 1 = 0x3A00000000000001.
 
-   Elements are kept in Montgomery form (R = 2^64) inside a single
-   [int64]; all values satisfy 0 <= x < p < 2^62 so signed comparison is
-   safe after reduction. *)
+   An element is an immediate OCaml [int] holding its Montgomery form
+   (R = 2^62) in [0, p). Since p < 2^62 every element fits in the
+   63-bit native int, so no arithmetic operation allocates, even through
+   a functor. Sums of two elements can reach 2p > max_int and wrap
+   negative; every reduction therefore tests [s < 0 || s >= p], and the
+   subtraction of p, taken modulo 2^63, lands on the true residue. *)
 
-type t = int64
+type t = int
 
 let name = "fp61"
-let p = 0x3A00000000000001L
-let modulus_limbs = [| p |]
+let p = 0x3A00000000000001
+let modulus_limbs = [| Int64.of_int p |]
 let size_bytes = 8
 let two_adicity = 57
 
-let p_int = Int64.to_int p
+let mask31 = (1 lsl 31) - 1
+let mask62 = max_int (* 2^62 - 1 *)
 
-(* p' = -p^-1 mod 2^64 *)
-let p' = Int64_arith.neg_inv p
+(* p = p_hi * 2^31 + 1; REDC's m * p product uses these limbs. *)
+let p_hi = p lsr 31
 
-let reduce_once x = if Int64.unsigned_compare x p >= 0 then Int64.sub x p else x
+(* p' = -p^-1 mod 2^62 by Newton iteration; int multiplication wraps
+   modulo 2^63, so the low 62 bits are exact. *)
+let p' =
+  let x = ref p in
+  for _ = 1 to 6 do
+    x := !x * (2 - (p * !x))
+  done;
+  (- !x) land mask62
 
-let add a b = reduce_once (Int64.add a b)
+let reduce s = if s < 0 || s >= p then s - p else s
+let add a b = reduce (a + b)
+let sub a b = if a < b then a - b + p else a - b
+let neg a = if a = 0 then 0 else p - a
 
-let sub a b = if Int64.unsigned_compare a b < 0 then Int64.sub (Int64.add a p) b else Int64.sub a b
-
-let neg a = if a = 0L then 0L else Int64.sub p a
-
-(* Montgomery reduction of a 128-bit product (hi, lo): returns
-   (hi*2^64 + lo) * 2^-64 mod p. *)
+(* Montgomery reduction of the 124-bit value hi * 2^62 + lo (lo < 2^62,
+   hi < p): returns (hi * 2^62 + lo) * 2^-62 mod p. With m = lo * p'
+   mod 2^62, lo + m * p is a multiple of 2^62: its low half carries
+   exactly 1 into the high half unless lo = 0. The high half of m * p is
+   formed from 31-bit limbs of m against p = p_hi * 2^31 + 1. *)
 let redc hi lo =
-  let m = Int64.mul lo p' in
-  let mp_hi, mp_lo = Int64_arith.umul m p in
-  let sum_lo = Int64.add lo mp_lo in
-  let carry = if Int64_arith.ult sum_lo lo then 1L else 0L in
-  (* lo + m*p has low 64 bits equal to zero by construction; the result is
-     the high half plus carry. hi < p and mp_hi < p so no overflow. *)
-  ignore sum_lo;
-  reduce_once (Int64.add hi (Int64.add mp_hi carry))
+  let m = (lo * p') land mask62 in
+  let m0 = m land mask31 and m1 = m lsr 31 in
+  let lh = m0 * p_hi in
+  let mp_hi = (m1 * p_hi) + (lh lsr 31) + (((lh land mask31) + m1) lsr 31) in
+  reduce (hi + mp_hi + (if lo = 0 then 0 else 1))
 
+(* Schoolbook 62 x 62-bit product over 31-bit limbs: every partial
+   product and every partial sum stays below 2^62. *)
 let mul a b =
-  let hi, lo = Int64_arith.umul a b in
+  let a0 = a land mask31 and a1 = a lsr 31 in
+  let b0 = b land mask31 and b1 = b lsr 31 in
+  let ll = a0 * b0 and lh = a0 * b1 and hl = a1 * b0 in
+  let cross = (ll lsr 31) + (lh land mask31) + (hl land mask31) in
+  let lo = ((cross land mask31) lsl 31) lor (ll land mask31) in
+  let hi = (a1 * b1) + (lh lsr 31) + (hl lsr 31) + (cross lsr 31) in
   redc hi lo
 
 let square a = mul a a
 
 (* R mod p and R^2 mod p, computed by repeated modular doubling. *)
 let r_mod_p =
-  let x = ref 1L in
-  for _ = 1 to 64 do
-    x := reduce_once (Int64.add !x !x)
+  let x = ref 1 in
+  for _ = 1 to 62 do
+    x := add !x !x
   done;
   !x
 
 let r2_mod_p =
   let x = ref r_mod_p in
-  for _ = 1 to 64 do
-    x := reduce_once (Int64.add !x !x)
+  for _ = 1 to 62 do
+    x := add !x !x
   done;
   !x
 
-let zero = 0L
+let zero = 0
 let one = r_mod_p
 
-let of_int64 x = mul (Int64.unsigned_rem x p) r2_mod_p
+(* [c] canonical, in [0, p) *)
+let of_canonical c = mul c r2_mod_p
+let to_canonical a = redc 0 a
 
+let of_int64 x =
+  of_canonical (Int64.to_int (Int64.unsigned_rem x (Int64.of_int p)))
+
+(* [x mod p] lies in (-p, p) for every int, min_int included, so no
+   negation that could overflow is needed. *)
 let of_int x =
-  if x >= 0 then of_int64 (Int64.of_int x)
-  else neg (of_int64 (Int64.of_int (-x)))
+  let r = x mod p in
+  of_canonical (if r < 0 then r + p else r)
 
-let to_canonical a = redc 0L a
-let to_canonical_limbs a = [| to_canonical a |]
+let to_canonical_limbs a = [| Int64.of_int (to_canonical a) |]
 let equal (a : t) (b : t) = a = b
-let is_zero a = a = 0L
-let compare a b = Int64.unsigned_compare (to_canonical a) (to_canonical b)
+let is_zero a = a = 0
+let compare a b = Int.compare (to_canonical a) (to_canonical b)
 
 let pow_int base e =
   assert (e >= 0);
@@ -96,10 +119,7 @@ let pow_limbs base limbs =
     limbs;
   !acc
 
-let inv a =
-  if is_zero a then raise Division_by_zero
-  else pow_limbs a [| Int64.sub p 2L |]
-
+let inv a = if is_zero a then raise Division_by_zero else pow_int a (p - 2)
 let div a b = mul a (inv b)
 let generator = of_int 3
 
@@ -107,36 +127,33 @@ let root_of_unity k =
   if k > two_adicity || k < 0 then
     invalid_arg "Fp61.root_of_unity: exceeds two-adicity";
   (* g^((p-1) / 2^k); p - 1 = 29 * 2^57. *)
-  let e = Int64.to_int (Int64.shift_right_logical (Int64.sub p 1L) k) in
-  pow_int generator e
+  pow_int generator ((p - 1) lsr k)
 
-let to_bytes a = Zkml_util.Bytes_util.int64_le (to_canonical a)
+let to_bytes a = Zkml_util.Bytes_util.int64_le (Int64.of_int (to_canonical a))
 
 let of_bytes_exn s =
   if String.length s <> 8 then invalid_arg "Fp61.of_bytes_exn: length";
   let x = Zkml_util.Bytes_util.int64_of_le s 0 in
-  if Int64.unsigned_compare x p >= 0 then
+  if Int64.unsigned_compare x (Int64.of_int p) >= 0 then
     invalid_arg "Fp61.of_bytes_exn: not canonical";
-  mul x r2_mod_p
+  of_canonical (Int64.to_int x)
 
 let random rng =
   let rec draw () =
-    let x =
-      Int64.logand (Zkml_util.Rng.next_int64 rng) 0x3FFFFFFFFFFFFFFFL
-    in
-    if Int64.unsigned_compare x p < 0 then x else draw ()
+    let x = Int64.to_int (Zkml_util.Rng.next_int64 rng) land mask62 in
+    if x < p then x else draw ()
   in
-  mul (draw ()) r2_mod_p
+  of_canonical (draw ())
 
-let to_hex a = Printf.sprintf "%016Lx" (to_canonical a)
+let to_hex a = Printf.sprintf "%016x" (to_canonical a)
 let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)
-let _ = p_int
 
-(* In-place capability surface: a boxed [int64] is immutable, so the
-   destination-passing ops cannot exist here. Generic hot loops branch
-   on [mutable_repr] and stay on the allocating API for this field. *)
+(* In-place capability surface: an immediate int is immutable, so the
+   destination-passing ops cannot exist here; nor are they needed, as
+   the allocating API allocates nothing for this field. Generic hot
+   loops branch on [mutable_repr]. *)
 let mutable_repr = false
-let scratch () = 0L
+let scratch () = 0
 let unshare (a : t) = a
 
 let immutable op = invalid_arg ("Fp61." ^ op ^ ": immutable representation")

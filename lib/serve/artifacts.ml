@@ -33,8 +33,11 @@ module Obs = Zkml_obs.Obs
 open Err
 
 (* Bumping this invalidates every cached artifact (the version feeds the
-   content hash as well as the file header). *)
-let cache_version = "zkml-artifact v6"
+   content hash as well as the file header). The payload is marshalled,
+   so any change to the in-memory layout of the cached keys — such as
+   the field's representation — needs a bump too: v7 holds Fp61
+   elements as immediate ints, where v6 held boxed [int64]s. *)
+let cache_version = "zkml-artifact v7"
 
 let cache_dir () =
   match Sys.getenv_opt "ZKML_CACHE_DIR" with
@@ -157,7 +160,7 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
   (* Disk format: a line-oriented header followed by the marshalled
      entry, length-prefixed and digest-protected:
 
-       zkml-artifact v6
+       zkml-artifact v7
        backend <name>
        key <hex>
        payload <length> <sha256-hex>

@@ -28,14 +28,16 @@
      among simultaneous failures.
 
    - Minor heaps: with more than one domain every minor collection is
-     a stop-the-world barrier across all of them, and the field kernels
-     fill the runtime's default 256k-word minor heap thousands of times
-     per second. On a loaded host each barrier waits for whichever
-     domain's core is descheduled, so prove times swing with the load.
+     a stop-the-world barrier across all of them, and on a loaded host
+     each barrier waits for whichever domain's core is descheduled.
      The pool grows the minor heap of every domain that runs regions
-     (the spawning caller and each worker) to [minor_heap_words], which
-     roughly halves the barrier count. [Gc.set] only resizes the calling
-     domain's heap, hence the call on each side.
+     (the spawning caller and each worker) to [minor_heap_words], a
+     quarter of the barriers at the runtime's 256k-word default. Field
+     arithmetic allocates nothing, so a proof fills the default heap
+     only a few dozen times, but set-up (compile and keygen) measured
+     slower without the growth (DESIGN.md, "Minor heaps"). [Gc.set]
+     only resizes the calling domain's heap, hence the call on each
+     side.
 
    - Tracing: worker domains have no Obs sink, so each region forks an
      [Obs.Par] capture handle; worker bodies run inside

@@ -223,43 +223,31 @@ module Fp61_suite = Make_suite (Zkml_ff.Fp61)
 module Pasta_fp_suite = Make_suite (Zkml_ff.Pasta.Fp)
 module Pasta_fq_suite = Make_suite (Zkml_ff.Pasta.Fq)
 
-(* Cross-check Fp61 Montgomery arithmetic against a trusted slow path
-   using OCaml native ints (p < 2^62 so add fits; mul checked via
-   16-bit limb schoolbook). *)
-let test_fp61_against_reference () =
-  let p = 0x3A00000000000001 in
-  let slow_mulmod a b =
-    (* split b into four 16-bit limbs *)
-    let r = ref 0 in
-    for i = 3 downto 0 do
-      let limb = (b lsr (16 * i)) land 0xFFFF in
-      for _ = 1 to 16 do
-        r := !r * 2 mod p
-      done;
-      r := (!r + (a * limb mod p)) mod p
-    done;
-    !r
-  in
-  (* a * limb with a < 2^62 and limb < 2^16 overflows 63-bit ints, so
-     split a too. *)
-  let slow_mulmod a b =
-    ignore slow_mulmod;
+(* Fp61 against a trusted slow path on OCaml native ints. p < 2^62, so
+   every reference step is arranged to stay below max_int. *)
+module Fp61_checks = struct
+  module F = Zkml_ff.Fp61
+
+  let p = 0x3A00000000000001
+
+  (* x + y mod p for x, y in [0, p), without forming a sum past max_int *)
+  let add_mod x y = if x < p - y then x + y else x - (p - y)
+  let sub_mod x y = if x >= y then x - y else x + (p - y)
+
+  (* a * b mod p by shift-and-add over 15-bit limbs of b and a 31-bit
+     split of a, so each partial product fits. *)
+  let mul_mod a b =
     let a_lo = a land 0x7FFFFFFF and a_hi = a lsr 31 in
     let r = ref 0 in
-    (* doubling that avoids 63-bit overflow: 2x mod p without forming 2x *)
-    let double_mod x = if x < p - x then x + x else x - (p - x) in
     let add_shifted x shift =
       let x = ref (x mod p) in
       for _ = 1 to shift do
-        x := double_mod !x
+        x := add_mod !x !x
       done;
-      (* r + x can exceed max_int; use the same overflow-safe form *)
-      r := (if !r < p - !x then !r + !x else !r - (p - !x))
+      r := add_mod !r !x
     in
-    (* decompose b into 15-bit limbs so each partial product fits *)
     let rec limbs b shift =
-      if b = 0 then ()
-      else begin
+      if b <> 0 then begin
         let limb = b land 0x7FFF in
         if limb <> 0 then begin
           add_shifted (a_lo * limb) shift;
@@ -270,17 +258,118 @@ let test_fp61_against_reference () =
     in
     limbs b 0;
     !r
-  in
-  let rng = Zkml_util.Rng.create 99L in
-  for _ = 1 to 500 do
-    let a = Zkml_util.Rng.int rng p and b = Zkml_util.Rng.int rng p in
-    let expected = slow_mulmod a b in
-    let got =
-      Zkml_ff.Fp61.(
-        to_canonical_limbs (mul (of_int a) (of_int b))).(0)
+
+  let canonical x = Int64.to_int (F.to_canonical_limbs x).(0)
+
+  (* 2^62 mod p, the Montgomery radix R *)
+  let r_mod_p = max_int - p + 1
+
+  (* The element whose Montgomery form is [v]: canonical v * R^-1. *)
+  let of_mont v = F.div (F.of_int v) (F.of_int r_mod_p)
+
+  (* Values around p and the 2^61 boundary, where the sum of two
+     residues passes max_int. Each is used both as a canonical value and
+     as a Montgomery form, since the sums that can overflow are taken on
+     the internal form. *)
+  let boundary =
+    [ 0; 1; 2; p - 1; p - 2; (1 lsl 61) - 1; 1 lsl 61; (1 lsl 61) + 1 ]
+
+  let boundary_elems = List.map F.of_int boundary @ List.map of_mont boundary
+
+  let arb =
+    let open QCheck in
+    make
+      ~print:(fun x -> F.to_hex x)
+      Gen.(
+        oneof
+          [ oneofl boundary_elems;
+            map (fun seed -> F.random (Zkml_util.Rng.create seed)) int64
+          ])
+
+  let laws =
+    let open QCheck in
+    [ Test.make ~name:"boundary_add" ~count:1000 (pair arb arb) (fun (a, b) ->
+          canonical (F.add a b) = add_mod (canonical a) (canonical b));
+      Test.make ~name:"boundary_sub" ~count:1000 (pair arb arb) (fun (a, b) ->
+          canonical (F.sub a b) = sub_mod (canonical a) (canonical b));
+      Test.make ~name:"boundary_neg" ~count:500 arb (fun a ->
+          canonical (F.neg a) = sub_mod 0 (canonical a));
+      Test.make ~name:"boundary_mul" ~count:1000 (pair arb arb) (fun (a, b) ->
+          canonical (F.mul a b) = mul_mod (canonical a) (canonical b));
+      Test.make ~name:"boundary_inv" ~count:300 arb (fun a ->
+          F.is_zero a || F.equal F.one (F.mul a (F.inv a)))
+    ]
+
+  let test_against_reference () =
+    let rng = Zkml_util.Rng.create 99L in
+    let check a b =
+      let got = canonical (F.mul (F.of_int a) (F.of_int b)) in
+      Alcotest.(check int) "mulmod" (mul_mod a b) got
     in
-    Alcotest.(check int64) "mulmod" (Int64.of_int expected) got
-  done
+    List.iter (fun a -> List.iter (check a) boundary) boundary;
+    for _ = 1 to 65_536 - (List.length boundary * List.length boundary) do
+      check (Zkml_util.Rng.int rng p) (Zkml_util.Rng.int rng p)
+    done
+
+  let test_of_int_extremes () =
+    let check what expected x =
+      Alcotest.(check int) what expected (canonical (F.of_int x))
+    in
+    check "max_int" (max_int - p) max_int;
+    check "min_int" (p - r_mod_p) min_int;
+    check "-1" (p - 1) (-1);
+    check "-p" 0 (-p);
+    check "p" 0 p;
+    Alcotest.(check bool) "min_int = -(max_int + 1)" true
+      (F.equal (F.of_int min_int) (F.neg (F.add (F.of_int max_int) F.one)))
+
+  let le = Zkml_util.Bytes_util.int64_le
+
+  let test_bytes_boundaries () =
+    List.iter
+      (fun bad ->
+        Alcotest.check_raises (Printf.sprintf "reject %Lx" bad)
+          (Invalid_argument "Fp61.of_bytes_exn: not canonical") (fun () ->
+            ignore (F.of_bytes_exn (le bad))))
+      [ Int64.of_int p; 0x4000000000000000L; -1L ];
+    List.iter
+      (fun v ->
+        Alcotest.(check string) "to_bytes is canonical" (le (Int64.of_int v))
+          (F.to_bytes (F.of_int v)))
+      boundary;
+    List.iter
+      (fun x ->
+        Alcotest.(check bool) "roundtrip" true
+          (F.equal x (F.of_bytes_exn (F.to_bytes x))))
+      boundary_elems
+
+  (* The pipeline calls the field through functor parameters, where no
+     cross-module inlining happens; there an op must not allocate. *)
+  module Alloc (G : Zkml_ff.Field_intf.S) = struct
+    let minor_words n a b =
+      let acc = ref a in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        acc := G.add (G.mul !acc b) a
+      done;
+      let words = Gc.minor_words () -. w0 in
+      ignore (Sys.opaque_identity !acc);
+      words
+  end
+
+  let test_no_allocation () =
+    let module A = Alloc (F) in
+    let words = A.minor_words 100_000 (F.of_int 3) (F.neg (F.of_int 7)) in
+    if words > 64. then
+      Alcotest.failf "10^5 mul+add allocated %.0f minor words" words
+
+  let suite =
+    [ Alcotest.test_case "of_int_extremes" `Quick test_of_int_extremes;
+      Alcotest.test_case "bytes_boundaries" `Quick test_bytes_boundaries;
+      Alcotest.test_case "no_allocation" `Quick test_no_allocation
+    ]
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) laws
+end
 
 (* The unrolled CIOS kernel against the original tuple-based reference
    multiplier kept in Limb4 for exactly this purpose. *)
@@ -395,11 +484,12 @@ let test_pasta_minus_one () =
 let () =
   Alcotest.run "ff"
     [ ("fp61", Fp61_suite.suite);
+      ("fp61_boundary", Fp61_checks.suite);
       ("pasta_fp", Pasta_fp_suite.suite);
       ("pasta_fq", Pasta_fq_suite.suite);
       ( "cross_checks",
         [ Alcotest.test_case "fp61_vs_reference" `Quick
-            test_fp61_against_reference;
+            Fp61_checks.test_against_reference;
           Alcotest.test_case "pasta_minus_one" `Quick test_pasta_minus_one;
           Alcotest.test_case "mul_ref_equiv" `Quick test_mul_ref_equiv
         ] );

@@ -265,7 +265,12 @@ let test_cache_corruption_is_typed () =
   expect_corrupt "bit flip" (Bytes.to_string flipped);
   (* truncations at every interesting boundary *)
   expect_corrupt "empty file" "";
-  expect_corrupt "header only" "zkml-artifact v6\n";
+  expect_corrupt "header only" (Art.cache_version ^ "\n");
+  (* an entry of the previous layout is never unmarshalled: its payload
+     would read as garbage that passes the digest check *)
+  let nl = String.index original '\n' in
+  expect_corrupt "stale version"
+    ("zkml-artifact v6" ^ String.sub original nl (String.length original - nl));
   expect_corrupt "half file" (String.sub original 0 (String.length original / 2));
   expect_corrupt "one byte short"
     (String.sub original 0 (String.length original - 1));
