@@ -1,4 +1,4 @@
-.PHONY: all build test check check-dispatch check-constraints fmt smoke serve-smoke segments-smoke soundness fuzz bench bench-par bench-batch bench-quotient bench-kernels bench-ff bench-msm bench-serve bench-segments bench-regress clean
+.PHONY: all build test check check-dispatch check-refusal check-constraints fmt smoke serve-smoke segments-smoke soundness fuzz bench bench-par bench-batch bench-quotient bench-kernels bench-ff bench-msm bench-serve bench-segments bench-regress clean
 
 all: build
 
@@ -19,6 +19,7 @@ test:
 # no-op when it is not installed.
 check: fmt build
 	$(MAKE) check-dispatch
+	$(MAKE) check-refusal
 	ZKML_JOBS=1 dune runtest --force
 	ZKML_JOBS=4 dune runtest --force
 	$(MAKE) check-constraints
@@ -40,6 +41,25 @@ check-dispatch:
 		exit 1; \
 	fi; \
 	echo "check-dispatch: ok"
+
+# Refused inputs (hard gate): gpt2 seeds 1-3 include inputs whose
+# softmax leaves its lookup table. `zkml prove` must answer each with
+# exit 0 (proved) or 2 (refused, one stderr line), never with an
+# uncaught exception (exit 125).
+REFUSAL_DIR ?= _build/check-refusal
+check-refusal: build
+	@mkdir -p $(REFUSAL_DIR); \
+	for s in 1 2 3; do \
+		dune exec bin/zkml_cli.exe -- prove gpt2 --seed $$s \
+			-o $(REFUSAL_DIR)/gpt2-$$s.zkp >/dev/null 2>$(REFUSAL_DIR)/err; \
+		code=$$?; \
+		if [ $$code -eq 125 ] || grep -q 'uncaught exception' $(REFUSAL_DIR)/err; then \
+			echo "check-refusal: gpt2 seed $$s exited $$code:"; \
+			cat $(REFUSAL_DIR)/err; \
+			exit 1; \
+		fi; \
+	done; \
+	echo "check-refusal: ok"
 
 # Under-constraint detector (hard gate): run the gadget isolation suite
 # and every zoo model's compiled circuit through the randomized
@@ -115,8 +135,8 @@ bench-batch: build
 bench-quotient: build
 	dune exec bench/main.exe -- quotient
 
-# Field / MSM / NTT kernel microbenchmarks (PR 7): allocating vs
-# in-place field arithmetic, Jacobian vs batch-affine+GLV Pippenger
+# Field / MSM / NTT kernel microbenchmarks (PR 7): field ops through
+# a functor parameter, Jacobian vs batch-affine+GLV Pippenger
 # (paths asserted equal), stage-major vs cache-blocked NTT (asserted
 # element-identical), plus the retuned window table. The full run
 # regenerates the committed BENCH_PR7.json baseline.

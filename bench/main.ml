@@ -839,9 +839,9 @@ let quotient () =
 
 (* ------------------------------------------------------------------ *)
 (* kernels: field / MSM / NTT kernel microbenchmarks (PR 7). Times the
-   allocating vs in-place (destination-passing) field arithmetic, the
-   Jacobian vs batch-affine+GLV Pippenger on Pallas, and the
-   stage-major reference vs cache-blocked NTT — asserting the fast and
+   field ops through a functor parameter, the Jacobian vs
+   batch-affine+GLV Pippenger on Pallas, and the stage-major
+   reference vs cache-blocked NTT — asserting the fast and
    reference paths agree — then writes BENCH_PR7.json for
    bench/regress.ml. ZKML_BENCH_KERNELS=ff,msm,ntt selects groups
    (default: all three; make bench-ff / bench-msm run the filtered
@@ -858,40 +858,19 @@ let time_field_op label name iters f =
   let t = Unix.gettimeofday () -. t0 in
   (label, name, iters, t, (Gc.minor_words () -. w0) /. float_of_int iters)
 
-module Field_kernel_rows (F : Zkml_ff.Limb4.S_EXT) = struct
-  (* a sink reference keeps the allocating ops from being
-     dead-code-eliminated *)
-  let rows label =
-    let rng = Zkml_util.Rng.create 7L in
-    let a = F.random rng and b = F.random rng in
-    let dst = F.scratch () in
-    let sink = ref F.zero in
-    let time = time_field_op label in
-    let rows =
-      [ time "add" 2_000_000 (fun () -> sink := F.add a b);
-        time "mul" 500_000 (fun () -> sink := F.mul a b);
-        time "mul_ref" 100_000 (fun () -> sink := F.mul_ref a b);
-        time "add_into" 2_000_000 (fun () -> F.add_into dst a b);
-        time "mul_into" 500_000 (fun () -> F.mul_into dst a b);
-        time "square_into" 500_000 (fun () -> F.square_into dst a)
-      ]
-    in
-    ignore !sink;
-    rows
-end
-
-(* The allocating ops through a functor parameter, as the pipeline
-   calls them under Sim61; a direct call would let cross-module inlining
-   flatter the kernel. *)
+(* The field ops through a functor parameter, as the pipeline calls
+   them; a direct call would let cross-module inlining flatter the
+   kernel. The gate compares [total_s], so each field keeps the
+   iteration counts its baseline rows were taken with. *)
 module Functor_field_rows (F : Zkml_ff.Field_intf.S) = struct
-  let rows label =
+  let rows ~add_iters ~mul_iters label =
     let rng = Zkml_util.Rng.create 7L in
     let a = F.random rng and b = F.random rng in
     let sink = ref F.zero in
     let time = time_field_op label in
     let rows =
-      [ time "add" 20_000_000 (fun () -> sink := F.add a b);
-        time "mul" 20_000_000 (fun () -> sink := F.mul a b)
+      [ time "add" add_iters (fun () -> sink := F.add a b);
+        time "mul" mul_iters (fun () -> sink := F.mul a b)
       ]
     in
     ignore !sink;
@@ -943,12 +922,13 @@ let kernels () =
   let ff_rows =
     if not (group "ff") then []
     else begin
-      let module Fp_rows = Field_kernel_rows (Zkml_ff.Pasta.Fp) in
-      let module Fq_rows = Field_kernel_rows (Zkml_ff.Pasta.Fq) in
+      let module Fp_rows = Functor_field_rows (Zkml_ff.Pasta.Fp) in
+      let module Fq_rows = Functor_field_rows (Zkml_ff.Pasta.Fq) in
       let module Fp61_rows = Functor_field_rows (Zkml_ff.Fp61) in
       let rows =
-        Fp_rows.rows "pasta_fp" @ Fq_rows.rows "pasta_fq"
-        @ Fp61_rows.rows "fp61"
+        Fp_rows.rows ~add_iters:2_000_000 ~mul_iters:500_000 "pasta_fp"
+        @ Fq_rows.rows ~add_iters:2_000_000 ~mul_iters:500_000 "pasta_fq"
+        @ Fp61_rows.rows ~add_iters:20_000_000 ~mul_iters:20_000_000 "fp61"
       in
       List.iter
         (fun (field, op, iters, t, words) ->

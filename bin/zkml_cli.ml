@@ -1634,4 +1634,17 @@ let () =
       | Some path when path <> "" && !metrics_out <> Some path ->
           write_metrics_file path
       | _ -> ());
-  exit (Cmd.eval' main)
+  (* A model input whose activations leave a lookup table's range is
+     refused, not an internal error: one stderr line and exit 2, from
+     every command that runs the fixed-point executor. Any other escaped
+     exception keeps cmdliner's report and exit code. *)
+  exit
+    (match Cmd.eval' ~catch:false main with
+    | code -> code
+    | exception Zkml_nn.Quant_exec.Out_of_range msg ->
+        Printf.eprintf "zkml: input refused: %s\n%!" msg;
+        2
+    | exception e ->
+        Printf.eprintf "zkml: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.get_backtrace ());
+        Cmd.Exit.internal_error)

@@ -8,7 +8,7 @@
    doubled points share one bucket array.
 
    Everything derived here is computed from the modulus and lambda at
-   first use, in the spirit of limb4.ml's derived Montgomery constants:
+   first use, in the spirit of mont29.ml's derived Montgomery constants:
 
    - the short lattice vectors v1 = (a1, b1), v2 = (a2, b2) with
      a_i + b_i * lambda = 0 (mod n) come from the extended Euclidean

@@ -3,9 +3,12 @@
     Two instantiations exist: {!Fp61} (a 62-bit NTT-friendly prime held
     as an immediate Montgomery [int], the production field of every
     proof the CLI and the daemon emit) and the 255-bit Pasta fields in
-    {!Pasta} (the real halo2 curve cycle, built on the {!Limb4}
+    {!Pasta} (the real halo2 curve cycle, built on the {!Mont29}
     Montgomery functor). All protocol code is functorized over this
-    signature. *)
+    signature.
+
+    Elements are values: no operation writes to its operands, so an
+    element may be shared between arrays and domains freely. *)
 
 module type S = sig
   type t
@@ -72,46 +75,4 @@ module type S = sig
   val random : Zkml_util.Rng.t -> t
   val to_hex : t -> string
   val pp : Format.formatter -> t -> unit
-
-  (** {1 In-place arithmetic}
-
-      Destination-passing variants of the ring operations for hot loops
-      (NTT butterflies, the compiled quotient evaluator). Without
-      flambda, every cross-module call that returns a fresh element
-      allocates; fields whose representation is a mutable buffer
-      ([mutable_repr = true], e.g. the 4-limb Montgomery fields) instead
-      expose [op_into dst a b], which overwrites [dst] and allocates
-      nothing. [dst] may alias any operand.
-
-      Contract: callers may only write into buffers they own — elements
-      obtained from {!scratch} or {!unshare}. Writing into a value
-      received from the allocating API (or into [zero]/[one]/table
-      entries) is undefined behaviour, because values may be shared
-      structurally ([Array.make n zero] aliases one buffer n times).
-
-      Fields with an immutable representation ([mutable_repr = false],
-      e.g. {!Fp61}, whose elements are immediate [int]s and whose
-      allocating API therefore allocates nothing) raise
-      [Invalid_argument] from every [_into] operation; [unshare] is the
-      identity there. Generic code must branch on [mutable_repr]. *)
-
-  val mutable_repr : bool
-  (** Whether [t] is a caller-mutable buffer and the [_into] ops below
-      are implemented. *)
-
-  val scratch : unit -> t
-  (** A fresh writable element, initially zero. *)
-
-  val unshare : t -> t
-  (** A physically fresh copy the caller may mutate (identity for
-      immutable representations). *)
-
-  val set : t -> t -> unit
-  (** [set dst src] overwrites [dst] with the value of [src]. *)
-
-  val add_into : t -> t -> t -> unit
-  val sub_into : t -> t -> t -> unit
-  val neg_into : t -> t -> unit
-  val mul_into : t -> t -> t -> unit
-  val square_into : t -> t -> unit
 end

@@ -147,19 +147,3 @@ let random rng =
 
 let to_hex a = Printf.sprintf "%016x" (to_canonical a)
 let pp fmt a = Format.fprintf fmt "0x%s" (to_hex a)
-
-(* In-place capability surface: an immediate int is immutable, so the
-   destination-passing ops cannot exist here; nor are they needed, as
-   the allocating API allocates nothing for this field. Generic hot
-   loops branch on [mutable_repr]. *)
-let mutable_repr = false
-let scratch () = 0
-let unshare (a : t) = a
-
-let immutable op = invalid_arg ("Fp61." ^ op ^ ": immutable representation")
-let set _ _ = immutable "set"
-let add_into _ _ _ = immutable "add_into"
-let sub_into _ _ _ = immutable "sub_into"
-let neg_into _ _ = immutable "neg_into"
-let mul_into _ _ _ = immutable "mul_into"
-let square_into _ _ = immutable "square_into"

@@ -1,7 +1,5 @@
 let mask32 = 0xFFFFFFFFL
 
-let ult a b = Int64.unsigned_compare a b < 0
-
 let umul a b =
   let open Int64 in
   let al = logand a mask32 and ah = shift_right_logical a 32 in
@@ -29,23 +27,7 @@ let umul a b =
 let addc a b carry_in =
   let open Int64 in
   let s = add a b in
-  let c1 = if ult s a then 1L else 0L in
+  let c1 = if unsigned_compare s a < 0 then 1L else 0L in
   let s' = add s carry_in in
-  let c2 = if ult s' s then 1L else 0L in
+  let c2 = if unsigned_compare s' s < 0 then 1L else 0L in
   (s', add c1 c2)
-
-let subb a b borrow_in =
-  let open Int64 in
-  let d = sub a b in
-  let b1 = if ult a b then 1L else 0L in
-  let d' = sub d borrow_in in
-  let b2 = if ult d borrow_in then 1L else 0L in
-  (d', add b1 b2)
-
-let neg_inv p0 =
-  (* Newton iteration doubles correct bits each step; 6 steps reach 64. *)
-  let x = ref p0 in
-  for _ = 1 to 6 do
-    x := Int64.mul !x (Int64.sub 2L (Int64.mul p0 !x))
-  done;
-  Int64.neg !x

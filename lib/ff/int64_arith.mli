@@ -1,8 +1,8 @@
 (** Unsigned 64-bit helper arithmetic for multi-precision field code.
 
     OCaml's [Int64] is signed; these helpers provide the unsigned
-    primitives (full 64x64 -> 128 multiplication, add-with-carry,
-    subtract-with-borrow) that the Montgomery implementations build on. *)
+    primitives that {!Limbs} (full 64x64 -> 128 multiplication) and
+    {!Field_extra} (add-with-carry) build on. *)
 
 val umul : int64 -> int64 -> int64 * int64
 (** [umul a b] is [(hi, lo)] such that [a * b = hi * 2^64 + lo]
@@ -11,14 +11,3 @@ val umul : int64 -> int64 -> int64 * int64
 val addc : int64 -> int64 -> int64 -> int64 * int64
 (** [addc a b carry_in] is [(sum, carry_out)] with [carry_in], [carry_out]
     in [{0, 1}]. *)
-
-val subb : int64 -> int64 -> int64 -> int64 * int64
-(** [subb a b borrow_in] is [(diff, borrow_out)] computing [a - b -
-    borrow_in] with borrows in [{0, 1}]. *)
-
-val ult : int64 -> int64 -> bool
-(** Unsigned less-than. *)
-
-val neg_inv : int64 -> int64
-(** [neg_inv p0] computes [- p0^-1 mod 2^64] for odd [p0] (Newton
-    iteration); the Montgomery [p'] constant. *)

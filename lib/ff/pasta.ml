@@ -4,26 +4,21 @@
      p = 0x40000000000000000000000000000000224698fc094cf91b992d30ed00000001
    Fq is the Pallas scalar field (= Vesta base field):
      q = 0x40000000000000000000000000000000224698fc0994a8dd8c46eb2100000001
-   Both have two-adicity 32 and multiplicative generator 5. *)
+   Both have two-adicity 32 and multiplicative generator 5. Their
+   kernels are generated from these moduli by the rules in dune. *)
 
-module Fp = Limb4.Make (struct
+module Fp = Mont29.Make (struct
   let name = "pasta_fp"
-
-  let modulus =
-    [| 0x992d30ed00000001L; 0x224698fc094cf91bL; 0x0000000000000000L;
-       0x4000000000000000L |]
-
   let generator_int = 5
   let two_adicity = 32
+
+  include Pasta_fp_kernel
 end)
 
-module Fq = Limb4.Make (struct
+module Fq = Mont29.Make (struct
   let name = "pasta_fq"
-
-  let modulus =
-    [| 0x8c46eb2100000001L; 0x224698fc0994a8ddL; 0x0000000000000000L;
-       0x4000000000000000L |]
-
   let generator_int = 5
   let two_adicity = 32
+
+  include Pasta_fq_kernel
 end)

@@ -556,15 +556,7 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
       let bcast v = Array.make blk v in
       let const_buf = Array.map bcast p.p_consts in
       let scal_buf = Array.map bcast scalars in
-      (* Register buffers are written through in the mutable-repr path,
-         so each cell must be a distinct scratch buffer — [Array.make]
-         would share a single F.zero across the whole block. *)
-      let regs =
-        if F.mutable_repr then
-          Array.init p.p_nregs (fun _ ->
-              Array.init blk (fun _ -> F.scratch ()))
-        else Array.init p.p_nregs (fun _ -> Array.make blk F.zero)
-      in
+      let regs = Array.init p.p_nregs (fun _ -> Array.make blk F.zero) in
       (* Offset modes per operand array: 0 = block-relative scratch
          (registers, broadcasts), 1 = the bank column itself (absolute
          row index; only rotation 0 reads it directly), 2 = a
@@ -625,85 +617,6 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
          cur_lo + bl - 1] (validated above), mode-2 views length [len >=
          pos + bl]. *)
       let pos = ref 0 in
-      if F.mutable_repr then begin
-        (* Allocation-free variant: every opcode writes its destination
-           register cell in place. Register cells are private scratch
-           buffers (above) and never alias bank columns, broadcasts or
-           rotated views, which are only ever read; the one temporary
-           needed by the fused multiply opcodes is reused across the
-           whole call. Results are copied out through [F.unshare] — when
-           the program result is a register, handing out the buffer
-           itself would let the next block's writes corrupt earlier
-           rows. *)
-        let tmp = F.scratch () in
-        while !pos < len do
-          let bl = min blk (len - !pos) in
-          let cur_lo = lo + !pos in
-          let off m = if m = 0 then 0 else if m = 1 then cur_lo else !pos in
-          for k = 0 to nops - 1 do
-            let d = regs.(Array.unsafe_get p.p_dst k) in
-            let a = Array.unsafe_get a_arr k
-            and ao = off (Array.unsafe_get a_md k) in
-            match Array.unsafe_get code k with
-            | 0 ->
-                let b = Array.unsafe_get b_arr k
-                and bo = off (Array.unsafe_get b_md k) in
-                for t = 0 to bl - 1 do
-                  F.add_into (Array.unsafe_get d t)
-                    (Array.unsafe_get a (ao + t))
-                    (Array.unsafe_get b (bo + t))
-                done
-            | 1 ->
-                let b = Array.unsafe_get b_arr k
-                and bo = off (Array.unsafe_get b_md k) in
-                for t = 0 to bl - 1 do
-                  F.sub_into (Array.unsafe_get d t)
-                    (Array.unsafe_get a (ao + t))
-                    (Array.unsafe_get b (bo + t))
-                done
-            | 2 ->
-                let b = Array.unsafe_get b_arr k
-                and bo = off (Array.unsafe_get b_md k) in
-                for t = 0 to bl - 1 do
-                  F.mul_into (Array.unsafe_get d t)
-                    (Array.unsafe_get a (ao + t))
-                    (Array.unsafe_get b (bo + t))
-                done
-            | 3 ->
-                for t = 0 to bl - 1 do
-                  F.square_into (Array.unsafe_get d t)
-                    (Array.unsafe_get a (ao + t))
-                done
-            | 4 ->
-                for t = 0 to bl - 1 do
-                  F.neg_into (Array.unsafe_get d t)
-                    (Array.unsafe_get a (ao + t))
-                done
-            | _ ->
-                let b = Array.unsafe_get b_arr k
-                and bo = off (Array.unsafe_get b_md k) in
-                let c = Array.unsafe_get c_arr k
-                and co = off (Array.unsafe_get c_md k) in
-                let kind = Array.unsafe_get code k in
-                for t = 0 to bl - 1 do
-                  F.mul_into tmp
-                    (Array.unsafe_get a (ao + t))
-                    (Array.unsafe_get b (bo + t));
-                  let dt = Array.unsafe_get d t in
-                  let cv = Array.unsafe_get c (co + t) in
-                  if kind = 5 then F.add_into dt tmp cv
-                  else if kind = 6 then F.sub_into dt cv tmp
-                  else F.sub_into dt tmp cv
-                done
-          done;
-          let ro = off res_md in
-          for t = 0 to bl - 1 do
-            out.(cur_lo + t) <- F.unshare (Array.unsafe_get res_arr (ro + t))
-          done;
-          pos := !pos + bl
-        done
-      end
-      else
       while !pos < len do
         let bl = min blk (len - !pos) in
         let cur_lo = lo + !pos in

@@ -178,22 +178,11 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
 
      Both phases execute the same butterflies on the same indices with
      the same twiddles as the reference — only the traversal order over
-     independent butterflies changes — so results are bit-identical.
-
-     When the field exposes a mutable representation the butterflies run
-     allocation-free on the in-place API. The entry pass below replaces
-     every cell with [F.unshare] first: callers routinely build inputs
-     with [Array.make n F.zero] (one shared buffer) or blit in
-     coefficient arrays they still own, and the originals must not be
-     written through. *)
+     independent butterflies changes — so results are bit-identical. *)
   let ntt_core a tw =
     let n = Array.length a in
     assert (n land (n - 1) = 0);
     bit_reverse_permute a;
-    if F.mutable_repr then
-      for i = 0 to n - 1 do
-        a.(i) <- F.unshare a.(i)
-      done;
     if n >= 2 then begin
       let bsz = min n (1 lsl ntt_block_log) in
       let nblocks = n / bsz in
@@ -201,7 +190,6 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
       let seq_below = if n >= 1 lsl 13 then 2 else max_int in
       Pool.parallel_for ~chunk:1 ~seq_below nblocks (fun b ->
           let base = b * bsz in
-          let tmp = F.scratch () in
           let len = ref 2 in
           while !len <= bsz do
             let len_ = !len in
@@ -210,21 +198,12 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
             let sb = ref base in
             while !sb < base + bsz do
               let s = !sb in
-              if F.mutable_repr then
-                for j = 0 to half - 1 do
-                  let w = tw.(j * stride) in
-                  let u = a.(s + j) and v = a.(s + j + half) in
-                  F.mul_into tmp v w;
-                  F.sub_into v u tmp;
-                  F.add_into u u tmp
-                done
-              else
-                for j = 0 to half - 1 do
-                  let w = tw.(j * stride) in
-                  let u = a.(s + j) and v = F.mul a.(s + j + half) w in
-                  a.(s + j) <- F.add u v;
-                  a.(s + j + half) <- F.sub u v
-                done;
+              for j = 0 to half - 1 do
+                let w = tw.(j * stride) in
+                let u = a.(s + j) and v = F.mul a.(s + j + half) w in
+                a.(s + j) <- F.add u v;
+                a.(s + j + half) <- F.sub u v
+              done;
               sb := s + len_
             done;
             len := !len * 2
@@ -236,38 +215,21 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
         let stride = n / len_ in
         Pool.parallel_for_ranges ~seq_below:(1 lsl 13) ~chunk:(1 lsl 11)
           (n / 2) (fun lo hi ->
-            let tmp = F.scratch () in
             let blk = ref (lo / half) and j = ref (lo mod half) in
             let idx = ref ((!blk * len_) + !j) in
-            if F.mutable_repr then
-              for _ = lo to hi - 1 do
-                let w = tw.(!j * stride) in
-                let u = a.(!idx) and v = a.(!idx + half) in
-                F.mul_into tmp v w;
-                F.sub_into v u tmp;
-                F.add_into u u tmp;
-                incr j;
-                incr idx;
-                if !j = half then begin
-                  j := 0;
-                  incr blk;
-                  idx := !blk * len_
-                end
-              done
-            else
-              for _ = lo to hi - 1 do
-                let w = tw.(!j * stride) in
-                let u = a.(!idx) and v = F.mul a.(!idx + half) w in
-                a.(!idx) <- F.add u v;
-                a.(!idx + half) <- F.sub u v;
-                incr j;
-                incr idx;
-                if !j = half then begin
-                  j := 0;
-                  incr blk;
-                  idx := !blk * len_
-                end
-              done);
+            for _ = lo to hi - 1 do
+              let w = tw.(!j * stride) in
+              let u = a.(!idx) and v = F.mul a.(!idx + half) w in
+              a.(!idx) <- F.add u v;
+              a.(!idx + half) <- F.sub u v;
+              incr j;
+              incr idx;
+              if !j = half then begin
+                j := 0;
+                incr blk;
+                idx := !blk * len_
+              end
+            done);
         len := !len * 2
       done
     end
@@ -301,17 +263,10 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
   let intt (d : Domain.t) a =
     assert (Array.length a = d.n);
     ntt_with_table a d.elements_inv;
-    (* after ntt_core every cell is a fresh unshared buffer, so the
-       n_inv scaling may write in place *)
     Pool.parallel_for_ranges ~seq_below:(1 lsl 14) d.n (fun lo hi ->
-        if F.mutable_repr then
-          for i = lo to hi - 1 do
-            F.mul_into a.(i) a.(i) d.n_inv
-          done
-        else
-          for i = lo to hi - 1 do
-            a.(i) <- F.mul a.(i) d.n_inv
-          done)
+        for i = lo to hi - 1 do
+          a.(i) <- F.mul a.(i) d.n_inv
+        done)
 
   (** Evaluate coefficient array [coeffs] (length <= d.n) on the coset
       [shift * H]; returns a fresh array of evaluations. Passing a

@@ -1,5 +1,6 @@
 (* Field axiom and algorithm tests, run over all three field
-   instantiations via a functor. *)
+   instantiations via a functor, and each field against an independent
+   reference. *)
 
 module Make_suite (F : Zkml_ff.Field_intf.S) = struct
   module Extra = Zkml_ff.Field_extra.Make (F)
@@ -119,93 +120,6 @@ module Make_suite (F : Zkml_ff.Field_intf.S) = struct
         (fun (a, b) -> sign (F.compare a b) = -sign (F.compare b a))
     ]
 
-  (* Destination-passing API: every [_into] op must agree with its
-     allocating counterpart, including when the destination aliases an
-     operand. For immutable representations the ops must refue loudly
-     rather than silently misbehave. *)
-  let into_props =
-    let open QCheck in
-    if not F.mutable_repr then
-      [ Test.make ~name:"into_immutable_raises" ~count:10 (pair arb arb)
-          (fun (a, b) ->
-            let raises f =
-              match f () with
-              | () -> false
-              | exception Invalid_argument _ -> true
-            in
-            raises (fun () -> F.add_into (F.scratch ()) a b)
-            && raises (fun () -> F.mul_into (F.scratch ()) a b)
-            && raises (fun () -> F.set (F.scratch ()) a))
-      ]
-    else
-      [ Test.make ~name:"mul_into" ~count:300 (pair arb arb) (fun (a, b) ->
-            let d = F.scratch () in
-            F.mul_into d a b;
-            F.equal d (F.mul a b));
-        Test.make ~name:"add_into" ~count:300 (pair arb arb) (fun (a, b) ->
-            let d = F.scratch () in
-            F.add_into d a b;
-            F.equal d (F.add a b));
-        Test.make ~name:"sub_into" ~count:300 (pair arb arb) (fun (a, b) ->
-            let d = F.scratch () in
-            F.sub_into d a b;
-            F.equal d (F.sub a b));
-        Test.make ~name:"neg_into" ~count:300 arb (fun a ->
-            let d = F.scratch () in
-            F.neg_into d a;
-            F.equal d (F.neg a));
-        Test.make ~name:"square_into" ~count:300 arb (fun a ->
-            let d = F.scratch () in
-            F.square_into d a;
-            F.equal d (F.square a));
-        Test.make ~name:"mul_into_alias_left" ~count:300 (pair arb arb)
-          (fun (a, b) ->
-            let d = F.unshare a in
-            F.mul_into d d b;
-            F.equal d (F.mul a b));
-        Test.make ~name:"mul_into_alias_right" ~count:300 (pair arb arb)
-          (fun (a, b) ->
-            let d = F.unshare b in
-            F.mul_into d a d;
-            F.equal d (F.mul a b));
-        Test.make ~name:"mul_into_alias_both" ~count:300 arb (fun a ->
-            let d = F.unshare a in
-            F.mul_into d d d;
-            F.equal d (F.square a));
-        Test.make ~name:"add_into_alias" ~count:300 arb (fun a ->
-            let d = F.unshare a in
-            F.add_into d d d;
-            F.equal d (F.add a a));
-        Test.make ~name:"sub_into_alias" ~count:300 (pair arb arb)
-          (fun (a, b) ->
-            let d = F.unshare a in
-            F.sub_into d d b;
-            F.equal d (F.sub a b));
-        Test.make ~name:"set_unshare" ~count:100 (pair arb arb)
-          (fun (a, b) ->
-            (* unshare detaches: writing the copy must not disturb the
-               original *)
-            let d = F.unshare a in
-            F.set d b;
-            F.equal d b && F.equal a (F.mul F.one a));
-        Test.make ~name:"into_edge_cases" ~count:1
-          (always ())
-          (fun () ->
-            let pm1 = F.neg F.one in
-            List.for_all
-              (fun (x, y) ->
-                let d = F.scratch () in
-                F.mul_into d x y;
-                let ok_mul = F.equal d (F.mul x y) in
-                F.add_into d x y;
-                let ok_add = F.equal d (F.add x y) in
-                F.sub_into d x y;
-                ok_mul && ok_add && F.equal d (F.sub x y))
-              [ (F.zero, F.zero); (F.zero, F.one); (F.one, F.zero);
-                (pm1, pm1); (pm1, F.one); (F.one, pm1)
-              ])
-      ]
-
   let suite =
     [ Alcotest.test_case "basic_identities" `Quick test_basic_identities;
       Alcotest.test_case "generator_order" `Quick test_generator_order;
@@ -216,12 +130,27 @@ module Make_suite (F : Zkml_ff.Field_intf.S) = struct
       Alcotest.test_case "inv_zero" `Quick test_inv_zero
     ]
     @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-        (prop_tests @ compare_props @ into_props)
+        (prop_tests @ compare_props)
 end
 
 module Fp61_suite = Make_suite (Zkml_ff.Fp61)
 module Pasta_fp_suite = Make_suite (Zkml_ff.Pasta.Fp)
 module Pasta_fq_suite = Make_suite (Zkml_ff.Pasta.Fq)
+
+(* The pipeline calls the field through functor parameters, where no
+   cross-module inlining happens; the minor words of [n] rounds of one
+   mul and one add, made there. *)
+module Alloc (G : Zkml_ff.Field_intf.S) = struct
+  let minor_words n a b =
+    let acc = ref a in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      acc := G.add (G.mul !acc b) a
+    done;
+    let words = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity !acc);
+    words
+end
 
 (* Fp61 against a trusted slow path on OCaml native ints. p < 2^62, so
    every reference step is arranged to stay below max_int. *)
@@ -343,20 +272,6 @@ module Fp61_checks = struct
           (F.equal x (F.of_bytes_exn (F.to_bytes x))))
       boundary_elems
 
-  (* The pipeline calls the field through functor parameters, where no
-     cross-module inlining happens; there an op must not allocate. *)
-  module Alloc (G : Zkml_ff.Field_intf.S) = struct
-    let minor_words n a b =
-      let acc = ref a in
-      let w0 = Gc.minor_words () in
-      for _ = 1 to n do
-        acc := G.add (G.mul !acc b) a
-      done;
-      let words = Gc.minor_words () -. w0 in
-      ignore (Sys.opaque_identity !acc);
-      words
-  end
-
   let test_no_allocation () =
     let module A = Alloc (F) in
     let words = A.minor_words 100_000 (F.of_int 3) (F.neg (F.of_int 7)) in
@@ -371,44 +286,163 @@ module Fp61_checks = struct
     @ List.map (QCheck_alcotest.to_alcotest ~long:false) laws
 end
 
-(* The unrolled CIOS kernel against the original tuple-based reference
-   multiplier kept in Limb4 for exactly this purpose. *)
-let test_mul_ref_equiv () =
-  let module Check (F : Zkml_ff.Limb4.S_EXT) (N : sig
-    val name : string
-  end) =
-  struct
-    let () =
-      let rng = Zkml_util.Rng.create 2024L in
-      for _ = 1 to 2000 do
-        let a = F.random rng and b = F.random rng in
-        Alcotest.(check bool)
-          (N.name ^ " mul = mul_ref") true
-          (F.equal (F.mul a b) (F.mul_ref a b))
-      done;
-      let pm1 = F.neg F.one in
-      List.iter
-        (fun (a, b) ->
-          Alcotest.(check bool)
-            (N.name ^ " mul = mul_ref edge") true
-            (F.equal (F.mul a b) (F.mul_ref a b)))
-        [ (F.zero, F.zero); (F.one, F.one); (pm1, pm1); (pm1, F.one) ]
-  end in
-  let module _ =
-    Check
-      (Zkml_ff.Pasta.Fp)
-      (struct
-        let name = "fp"
-      end)
-  in
-  let module _ =
-    Check
-      (Zkml_ff.Pasta.Fq)
-      (struct
-        let name = "fq"
-      end)
-  in
-  ()
+(* The Pasta fields against an independent oracle: schoolbook products
+   and long division on canonical 64-bit limbs ({!Zkml_ff.Limbs}), a
+   different algorithm from the Montgomery kernel. *)
+module Pasta_checks
+    (F : Zkml_ff.Field_intf.S) (D : sig
+      val digest : string
+    end) =
+struct
+  module L = Zkml_ff.Limbs
+
+  let p = F.modulus_limbs
+  let reduce x = snd (L.div_rem x p)
+  let canonical x = F.to_canonical_limbs x
+  let pow2 k = L.shift_left [| 1L |] k
+
+  let bytes_of v =
+    String.concat ""
+      (List.init 4 (fun i -> Zkml_util.Bytes_util.int64_le (L.limb v i)))
+
+  let of_canonical v = F.of_bytes_exn (bytes_of v)
+
+  (* The element whose Montgomery form (R = 2^261) is [v]. *)
+  let of_mont v = F.div (of_canonical v) (of_canonical (reduce (pow2 261)))
+
+  (* 0, 1, p - 1, p - 2, 2^254, values whose low 29-bit limbs are all
+     ones, and 2^(29i) +- 1: each both as a canonical value and as a
+     Montgomery form, since the kernel's carries run on the latter. *)
+  let boundary =
+    let one = [| 1L |] in
+    [ [| 0L |]; one; [| 2L |]; L.sub_exn p one; L.sub_exn p [| 2L |]; pow2 254 ]
+    @ List.concat_map
+        (fun i -> [ L.sub_exn (pow2 (29 * i)) one; L.add (pow2 (29 * i)) one ])
+        (List.init 8 (( + ) 1))
+
+  let boundary_elems =
+    List.map of_canonical boundary @ List.map of_mont boundary
+
+  let arb =
+    let open QCheck in
+    make
+      ~print:(fun x -> F.to_hex x)
+      Gen.(
+        oneof
+          [ oneofl boundary_elems;
+            map (fun seed -> F.random (Zkml_util.Rng.create seed)) int64
+          ])
+
+  (* [x] holds the residue of [v], in its one fully reduced form. *)
+  let agrees x v =
+    let r = reduce v in
+    L.compare (canonical x) r = 0 && F.equal x (of_canonical r)
+
+  let laws =
+    let open QCheck in
+    [ Test.make ~name:"boundary_add" ~count:1000 (pair arb arb) (fun (a, b) ->
+          agrees (F.add a b) (L.add (canonical a) (canonical b)));
+      Test.make ~name:"boundary_sub" ~count:1000 (pair arb arb) (fun (a, b) ->
+          agrees (F.sub a b) (L.sub_exn (L.add (canonical a) p) (canonical b)));
+      Test.make ~name:"boundary_neg" ~count:500 arb (fun a ->
+          agrees (F.neg a) (L.sub_exn p (canonical a)));
+      Test.make ~name:"boundary_mul" ~count:1000 (pair arb arb) (fun (a, b) ->
+          agrees (F.mul a b) (L.mul (canonical a) (canonical b)));
+      Test.make ~name:"boundary_square" ~count:500 arb (fun a ->
+          agrees (F.square a) (L.mul (canonical a) (canonical a)));
+      Test.make ~name:"boundary_inv" ~count:200 arb (fun a ->
+          F.is_zero a || agrees F.one (L.mul (canonical a) (canonical (F.inv a))))
+    ]
+
+  let test_against_reference () =
+    let rng = Zkml_util.Rng.create 2024L in
+    let check a b =
+      let ca = canonical a and cb = canonical b in
+      if
+        not
+          (agrees (F.mul a b) (L.mul ca cb)
+          && agrees (F.add a b) (L.add ca cb)
+          && agrees (F.sub a b) (L.sub_exn (L.add ca p) cb))
+      then Alcotest.failf "%s: %s, %s" F.name (F.to_hex a) (F.to_hex b)
+    in
+    List.iter (fun a -> List.iter (check a) boundary_elems) boundary_elems;
+    for _ = 1 to 2000 do
+      check (F.random rng) (F.random rng)
+    done
+
+  let test_bytes_boundaries () =
+    List.iter
+      (fun bad ->
+        match F.of_bytes_exn (bytes_of bad) with
+        | _ ->
+            Alcotest.failf "accepted %s"
+              (Zkml_util.Bytes_util.to_hex (bytes_of bad))
+        | exception Invalid_argument _ -> ())
+      [ p; pow2 255; L.sub_exn (pow2 256) [| 1L |] ];
+    List.iter
+      (fun v ->
+        Alcotest.(check string) "to_bytes is canonical" (bytes_of v)
+          (F.to_bytes (of_canonical v)))
+      boundary;
+    List.iter
+      (fun x ->
+        Alcotest.(check bool) "roundtrip" true
+          (F.equal x (F.of_bytes_exn (F.to_bytes x))))
+      boundary_elems
+
+  let test_of_int_extremes () =
+    Alcotest.(check bool) "min_int = -(max_int + 1)" true
+      (F.equal (F.of_int min_int) (F.neg (F.add (F.of_int max_int) F.one)))
+
+  (* Pins [random]'s rejection sampling and the canonical bytes: 1000
+     seeded elements and the products of neighbours. *)
+  let test_pinned_digest () =
+    let rng = Zkml_util.Rng.create 2026L in
+    let xs = Array.init 1000 (fun _ -> F.random rng) in
+    let b = Buffer.create 64_000 in
+    Array.iter (fun x -> Buffer.add_string b (F.to_bytes x)) xs;
+    for i = 0 to 998 do
+      Buffer.add_string b (F.to_bytes (F.mul xs.(i) xs.(i + 1)))
+    done;
+    Alcotest.(check string) "digest" D.digest
+      (Zkml_util.Sha256.hex_digest (Buffer.contents b))
+
+  (* One fresh nine-limb array (ten words with its header) per op. *)
+  let test_allocation () =
+    let module A = Alloc (F) in
+    let n = 100_000 in
+    let words = A.minor_words n (F.of_int 3) (F.neg (F.of_int 7)) in
+    if words > float_of_int (10 * 2 * n) then
+      Alcotest.failf "10^5 mul+add allocated %.0f minor words" words
+
+  let suite =
+    [ Alcotest.test_case "of_int_extremes" `Quick test_of_int_extremes;
+      Alcotest.test_case "bytes_boundaries" `Quick test_bytes_boundaries;
+      Alcotest.test_case "pinned_digest" `Quick test_pinned_digest;
+      Alcotest.test_case "allocation" `Quick test_allocation
+    ]
+    @ List.map (QCheck_alcotest.to_alcotest ~long:false) laws
+end
+
+module Pasta_fp_checks =
+  Pasta_checks
+    (Zkml_ff.Pasta.Fp)
+    (struct
+      let digest =
+        "4d5f508fa3b0f21905b422947b18d554bdd6f2c19ace18cea1c0c7bd8605d314"
+    end)
+
+module Pasta_fq_checks =
+  Pasta_checks
+    (Zkml_ff.Pasta.Fq)
+    (struct
+      let digest =
+        "4e131c478580021fe2248c5f434e9f58b27a95e0f004bf706f02ec97cbc1f105"
+    end)
+
+let test_pasta_vs_limbs () =
+  Pasta_fp_checks.test_against_reference ();
+  Pasta_fq_checks.test_against_reference ()
 
 (* Multiprecision limb layer backing the GLV derivation: cross-check the
    ring ops against native ints on small values and internal identities
@@ -486,12 +520,14 @@ let () =
     [ ("fp61", Fp61_suite.suite);
       ("fp61_boundary", Fp61_checks.suite);
       ("pasta_fp", Pasta_fp_suite.suite);
+      ("pasta_fp_boundary", Pasta_fp_checks.suite);
       ("pasta_fq", Pasta_fq_suite.suite);
+      ("pasta_fq_boundary", Pasta_fq_checks.suite);
       ( "cross_checks",
         [ Alcotest.test_case "fp61_vs_reference" `Quick
             Fp61_checks.test_against_reference;
           Alcotest.test_case "pasta_minus_one" `Quick test_pasta_minus_one;
-          Alcotest.test_case "mul_ref_equiv" `Quick test_mul_ref_equiv
+          Alcotest.test_case "pasta_vs_limbs" `Quick test_pasta_vs_limbs
         ] );
       ( "limbs",
         List.map (QCheck_alcotest.to_alcotest ~long:false) limbs_tests )
