@@ -45,7 +45,7 @@ check-dispatch:
 # Refused inputs (hard gate): gpt2 seeds 1-3 include inputs whose
 # softmax leaves its lookup table. `zkml prove` must answer each with
 # exit 0 (proved) or 2 (refused, one stderr line), never with an
-# uncaught exception (exit 125).
+# uncaught exception (exit 125). An unknown model name must exit 2.
 REFUSAL_DIR ?= _build/check-refusal
 check-refusal: build
 	@mkdir -p $(REFUSAL_DIR); \
@@ -59,6 +59,14 @@ check-refusal: build
 			exit 1; \
 		fi; \
 	done; \
+	dune exec bin/zkml_cli.exe -- prove nosuchmodel \
+		-o $(REFUSAL_DIR)/nosuchmodel.zkp >/dev/null 2>$(REFUSAL_DIR)/err; \
+	code=$$?; \
+	if [ $$code -ne 2 ]; then \
+		echo "check-refusal: unknown model exited $$code (expected 2):"; \
+		cat $(REFUSAL_DIR)/err; \
+		exit 1; \
+	fi; \
 	echo "check-refusal: ok"
 
 # Under-constraint detector (hard gate): run the gadget isolation suite

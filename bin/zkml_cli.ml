@@ -66,7 +66,8 @@ module Fuzz = Zkml_util.Fuzz
 
 (* Models arrive from outside the process, so loading is total; the
    raising [load_model] below serves the subcommands whose failure mode
-   is simply "print the error and die". *)
+   is simply "print the error and die": [main] answers its
+   [Bad_model] with one stderr line and exit 2. *)
 let load_model_result name =
   if Sys.file_exists name then
     match Zkml_nn.Serialize.of_file name with
@@ -88,7 +89,12 @@ let load_model_result name =
           }
   else Err.guard Err.Unknown_variant (fun () -> Zoo.by_name name)
 
-let load_model name = Err.get_exn (load_model_result name)
+exception Bad_model of Err.t
+
+let load_model name =
+  match load_model_result name with
+  | Ok m -> m
+  | Error e -> raise (Bad_model (Err.with_context "model" e))
 
 (* ------------------------------------------------------------------ *)
 (* commands *)
@@ -784,7 +790,8 @@ let cmd_fuzz iters seed =
   List.iter print_endline (Fuzz.report_lines ~label:"models" model_report);
   log_fuzz_report "models" model_report;
   (* corpus 2: real proof files for the two smallest models, one per
-     backend. Soundness claim: no mutant may verify. *)
+     backend. Soundness claim: no mutant may verify, and a parsed file
+     must re-render to itself (the same oracle as corpus 5). *)
   Printf.printf "building proof corpus (mnist/kzg, dlrm/ipa)...\n%!";
   let m_mnist = Zoo.by_name "mnist" and m_dlrm = Zoo.by_name "dlrm" in
   let p_mnist, _, _ = PF.prove m_mnist B.Kzg 1234 in
@@ -801,6 +808,9 @@ let cmd_fuzz iters seed =
         in
         match m with
         | None -> Fuzz.Malformed "unknown model name"
+        | Some _ when PF.render pf <> text ->
+            (* parsed but not canonical: a parser soundness failure *)
+            Fuzz.Accepted
         | Some m -> (
             match PF.verdict ~kzg_keys ~ipa_keys m pf with
             | `Accepted -> Fuzz.Accepted
@@ -1594,11 +1604,6 @@ let main =
              ~doc:
                "Models `zkml serve` pre-compiles before listening (same \
                 as --warm): comma-separated zoo names or 'all'.";
-           Cmd.Env.info "ZKML_SEGMENTS"
-             ~doc:
-               "If set to N >= 1, `zkml serve` answers Prove requests \
-                with split-and-aggregate proving at N segments (the \
-                wire Prove_seg request overrides per call).";
          ])
     [ models_cmd; stats_cmd; export_cmd; calibrate_cmd; optimize_cmd;
       prove_cmd; verify_cmd; batch_prove_cmd; batch_verify_cmd; profile_cmd;
@@ -1634,15 +1639,18 @@ let () =
       | Some path when path <> "" && !metrics_out <> Some path ->
           write_metrics_file path
       | _ -> ());
-  (* A model input whose activations leave a lookup table's range is
-     refused, not an internal error: one stderr line and exit 2, from
-     every command that runs the fixed-point executor. Any other escaped
+  (* A model input whose activations leave a lookup table's range, or a
+     model that cannot be loaded, is refused, not an internal error: one
+     stderr line and exit 2, from every command. Any other escaped
      exception keeps cmdliner's report and exit code. *)
   exit
     (match Cmd.eval' ~catch:false main with
     | code -> code
     | exception Zkml_nn.Quant_exec.Out_of_range msg ->
         Printf.eprintf "zkml: input refused: %s\n%!" msg;
+        2
+    | exception Bad_model e ->
+        Printf.eprintf "zkml: %s\n%!" (Err.to_string e);
         2
     | exception e ->
         Printf.eprintf "zkml: internal error, uncaught exception:\n%s\n%s%!"

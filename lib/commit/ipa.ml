@@ -78,7 +78,6 @@ module Make (G : Zkml_ec.Group_intf.S) :
     !acc
 
   let open_at t transcript coeffs z =
-    Zkml_obs.Metrics.phase "opening" @@ fun () ->
     Zkml_obs.Obs.Span.with_ ~name:"open" @@ fun () ->
     let n = Array.length t.gens in
     let a = Array.make n F.zero in

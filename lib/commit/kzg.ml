@@ -73,7 +73,6 @@ module Make (G : Zkml_ec.Group_intf.S) :
   let scale_commitment = G.mul
 
   let open_at t _transcript coeffs z =
-    Zkml_obs.Metrics.phase "opening" @@ fun () ->
     Zkml_obs.Obs.Span.with_ ~name:"open" @@ fun () ->
     let v = P.eval coeffs z in
     let shifted = Array.copy coeffs in

@@ -173,21 +173,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     w_instance_ints : int array;
   }
 
-  let witness ~spec ~ncols ~k ~cfg graph inputs =
-    Zkml_obs.Obs.Span.with_ ~name:"witness" @@ fun () ->
-    let qinputs = List.map (T.map (Fx.quantize cfg)) inputs in
-    let exec = Zkml_nn.Quant_exec.run cfg graph ~inputs:qinputs in
-    let lowered = Lower.lower ~spec ~cfg ~ncols ~counting:false graph exec in
-    let built =
-      Layouter.finalize lowered.Lower.layouter ~blinding:Optimizer.blinding ~k
-    in
-    {
-      w_advice =
-        Array.map (fun col -> Array.map F.of_int col) built.Layouter.advice;
-      w_instance = [| Array.map F.of_int built.Layouter.instance_col |];
-      w_instance_ints = built.Layouter.instance_col;
-    }
-
   (** {!witness} for callers that already hold quantized integer
       tensors — the segmented prover feeds exact intermediate values of
       the full-model execution into each segment, so no re-quantization
@@ -205,6 +190,10 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       w_instance = [| Array.map F.of_int built.Layouter.instance_col |];
       w_instance_ints = built.Layouter.instance_col;
     }
+
+  let witness ~spec ~ncols ~k ~cfg graph inputs =
+    witness_ints ~spec ~ncols ~k ~cfg graph
+      (List.map (T.map (Fx.quantize cfg)) inputs)
 
   let instance_col_of_ints keys instance_ints =
     let module Err = Zkml_util.Err in
@@ -277,6 +266,9 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     prove_s : float;
     verify_s : float;
     outputs : int T.t list;  (** fixed-point model outputs *)
+    instance_ints : int array;
+        (** the public instance column as centered integers, as proof
+            files carry it *)
   }
 
   (** Compare {!Costmodel} predictions against the measured span totals
@@ -365,5 +357,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       prove_s;
       verify_s;
       outputs = Zkml_nn.Quant_exec.output_values exec graph;
+      instance_ints = artifacts.built.Layouter.instance_col;
     }
 end

@@ -117,13 +117,11 @@ module Make (G : Group_intf.S) = struct
             sum := G.add !sum !running
           done;
           sums.(w) <- !sum);
-      if Zkml_obs.Obs.enabled () then begin
-        (* one direct accumulation pass per window; no inversions and no
-           collision deferrals on the Jacobian path *)
-        Zkml_obs.Obs.count "msm.bucket_rounds" windows;
-        Zkml_obs.Obs.count "msm.batch_inv_calls" 0;
-        Zkml_obs.Obs.count "msm.collision_queue" 0
-      end;
+      (* one direct accumulation pass per window; no inversions and no
+         collision deferrals on the Jacobian path *)
+      Zkml_obs.Obs.count "msm.bucket_rounds" windows;
+      Zkml_obs.Obs.count "msm.batch_inv_calls" 0;
+      Zkml_obs.Obs.count "msm.collision_queue" 0;
       (* the doubling combine stays sequential: acc = 2^c * acc + sum_w,
          highest window first — the same op sequence as before *)
       let acc = ref G.zero in
@@ -325,21 +323,9 @@ module Make (G : Group_intf.S) = struct
           pippenger_glv ~c phi split points scalars
       | _ -> pippenger_affine ~c points scalars
 
-  let msm_core points scalars =
+  let msm points scalars =
+    Zkml_obs.Obs.Span.with_ ~name:"msm" @@ fun () ->
+    Zkml_obs.Obs.count "msm.points" (Array.length points);
     if Array.length points <= 4 then naive points scalars
     else pippenger points scalars
-
-  let msm_hist =
-    Zkml_obs.Metrics.histogram
-      ~labels:[ ("phase", "msm") ]
-      ~help:"Per-phase wall time of the proving/verifying pipeline"
-      "zkml_phase_seconds"
-
-  let msm points scalars =
-    Zkml_obs.Metrics.time msm_hist @@ fun () ->
-    if Zkml_obs.Obs.enabled () then
-      Zkml_obs.Obs.Span.with_ ~name:"msm" (fun () ->
-          Zkml_obs.Obs.count "msm.points" (Array.length points);
-          msm_core points scalars)
-    else msm_core points scalars
 end

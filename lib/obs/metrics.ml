@@ -142,36 +142,25 @@ let set h v =
   | Gauge_c r -> locked (fun () -> r := v)
   | Counter_c _ | Hist_c _ -> invalid_arg "Metrics.set: not a gauge"
 
+(* Every closed span lands here, so the body takes the mutex directly
+   rather than through a [locked] closure: nothing in it can raise. *)
 let observe h v =
   match h with
   | Hist_c hc ->
-      if Float.is_finite v then
-        locked (fun () ->
-            hc.hc_count <- hc.hc_count + 1;
-            hc.hc_sum <- hc.hc_sum +. v;
-            match bucket_index v with
-            | Some i -> hc.hc_buckets.(i) <- hc.hc_buckets.(i) + 1
-            | None -> hc.hc_under <- hc.hc_under + 1)
+      if Float.is_finite v then begin
+        Mutex.lock mu;
+        hc.hc_count <- hc.hc_count + 1;
+        hc.hc_sum <- hc.hc_sum +. v;
+        (match bucket_index v with
+        | Some i -> hc.hc_buckets.(i) <- hc.hc_buckets.(i) + 1
+        | None -> hc.hc_under <- hc.hc_under + 1);
+        Mutex.unlock mu
+      end
   | Counter_c _ | Gauge_c _ -> invalid_arg "Metrics.observe: not a histogram"
 
 let inc ?labels ?help name v = add (counter ?labels ?help name) v
 let set_gauge ?labels ?help name v = set (gauge ?labels ?help name) v
 let observe_in ?labels ?help name v = observe (histogram ?labels ?help name) v
-
-let time h f =
-  let t0 = Mclock.now_s () in
-  match f () with
-  | v ->
-      observe h (Mclock.elapsed_s ~since:t0);
-      v
-  | exception e ->
-      observe h (Mclock.elapsed_s ~since:t0);
-      raise e
-
-let phase_help = "Per-phase wall time of the proving/verifying pipeline"
-
-let phase p f =
-  time (histogram ~labels:[ ("phase", p) ] ~help:phase_help "zkml_phase_seconds") f
 
 let reset () =
   locked (fun () ->
@@ -279,6 +268,29 @@ let counter_value ?labels snap name =
   | Some (Hist_v _) | None -> 0.0
 
 (* ------------------------------------------------------------------ *)
+(* JSON helpers shared with Obs and Log (deterministic output) *)
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let json_float v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.9g" v
+
+(* ------------------------------------------------------------------ *)
 (* Exposition *)
 
 let prom_escape s =
@@ -318,19 +330,19 @@ let prometheus_string snap =
           match s.s_value with
           | Counter_v v | Gauge_v v ->
               line "%s%s %s\n" f.f_name (prom_labels s.s_labels)
-                (Obs.json_float v)
+                (json_float v)
           | Hist_v h ->
               List.iter
                 (fun (ub, c) ->
                   line "%s_bucket%s %d\n" f.f_name
-                    (prom_labels ~extra:("le", Obs.json_float ub) s.s_labels)
+                    (prom_labels ~extra:("le", json_float ub) s.s_labels)
                     c)
                 h.h_buckets;
               line "%s_bucket%s %d\n" f.f_name
                 (prom_labels ~extra:("le", "+Inf") s.s_labels)
                 h.h_count;
               line "%s_sum%s %s\n" f.f_name (prom_labels s.s_labels)
-                (Obs.json_float h.h_sum);
+                (json_float h.h_sum);
               line "%s_count%s %d\n" f.f_name (prom_labels s.s_labels) h.h_count)
         f.f_series)
     snap;
@@ -343,8 +355,8 @@ let json_string snap =
     ^ String.concat ","
         (List.map
            (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (Obs.json_escape k)
-               (Obs.json_escape v))
+             Printf.sprintf "\"%s\":\"%s\"" (json_escape k)
+               (json_escape v))
            labels)
     ^ "}"
   in
@@ -354,8 +366,8 @@ let json_string snap =
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"help\":\"%s\",\"series\":["
-           (Obs.json_escape f.f_name) (kind_name f.f_kind)
-           (Obs.json_escape f.f_help));
+           (json_escape f.f_name) (kind_name f.f_kind)
+           (json_escape f.f_help));
       List.iteri
         (fun j s ->
           if j > 0 then Buffer.add_char buf ',';
@@ -364,23 +376,23 @@ let json_string snap =
           (match s.s_value with
           | Counter_v v | Gauge_v v ->
               Buffer.add_string buf
-                (Printf.sprintf "\"value\":%s" (Obs.json_float v))
+                (Printf.sprintf "\"value\":%s" (json_float v))
           | Hist_v h ->
               Buffer.add_string buf
                 (Printf.sprintf "\"count\":%d,\"sum\":%s" h.h_count
-                   (Obs.json_float h.h_sum));
+                   (json_float h.h_sum));
               if h.h_count > 0 then
                 Buffer.add_string buf
                   (Printf.sprintf ",\"p50\":%s,\"p90\":%s,\"p99\":%s"
-                     (Obs.json_float (quantile h 0.50))
-                     (Obs.json_float (quantile h 0.90))
-                     (Obs.json_float (quantile h 0.99)));
+                     (json_float (quantile h 0.50))
+                     (json_float (quantile h 0.90))
+                     (json_float (quantile h 0.99)));
               Buffer.add_string buf ",\"buckets\":[";
               List.iteri
                 (fun k (ub, c) ->
                   if k > 0 then Buffer.add_char buf ',';
                   Buffer.add_string buf
-                    (Printf.sprintf "[%s,%d]" (Obs.json_float ub) c))
+                    (Printf.sprintf "[%s,%d]" (json_float ub) c))
                 h.h_buckets;
               Buffer.add_char buf ']');
           Buffer.add_char buf '}')

@@ -48,22 +48,15 @@ val set : handle -> float -> unit
 (** Gauge set. *)
 
 val observe : handle -> float -> unit
-(** Histogram observation. *)
+(** Histogram observation. Phase durations arrive only from closed
+    {!Obs.Span}s; the one duration observed directly is the daemon's
+    request latency, which starts and ends on different threads. *)
 
 val inc : ?labels:labels -> ?help:string -> string -> float -> unit
 (** [inc name v]: one-shot counter add (lookup + add). *)
 
 val set_gauge : ?labels:labels -> ?help:string -> string -> float -> unit
 val observe_in : ?labels:labels -> ?help:string -> string -> float -> unit
-
-val time : handle -> (unit -> 'a) -> 'a
-(** [time h f] runs [f] and observes its monotonic duration (seconds)
-    into histogram [h], even if [f] raises. *)
-
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase p f]: {!time} against the canonical per-phase histogram
-    [zkml_phase_seconds{phase=p}]. This is the single spine all prover
-    phase timings (ntt, msm, commit, opening, quotient) hang off. *)
 
 val reset : unit -> unit
 (** Zero every registered value in place (counts, sums, buckets).
@@ -131,3 +124,8 @@ val bucket_index : float -> int option
 
 val bucket_upper : int -> float
 (** Upper bound of bucket [i]. *)
+
+(* JSON encoding shared with Obs and Log; Obs re-exports both. *)
+
+val json_escape : string -> string
+val json_float : float -> string

@@ -2,8 +2,8 @@
 
     A single global sink collects hierarchical spans (wall-clock timed,
     nested), per-span counters and global gauges. Instrumented code
-    checks one ref per call and allocates nothing while the sink is
-    disabled, so tracing is zero-cost in production runs; when enabled,
+    checks one ref per call and records no tree while the sink is
+    disabled (a span then only times itself into {!Metrics}); when enabled,
     the recorded tree can be exported as chrome-trace JSON (loadable in
     about:tracing / Perfetto), a flat summary JSON, or a pretty-printed
     span tree. The clock is injectable so tests are wall-clock free. *)
@@ -36,28 +36,29 @@ let sink_key : sink option ref Domain.DLS.key =
 let sink () = Domain.DLS.get sink_key
 let enabled () = !(sink ()) <> None
 
+let new_span name start =
+  {
+    sp_name = name;
+    sp_start = start;
+    sp_stop = nan;
+    sp_counters = [];
+    sp_children = [];
+  }
+
+let new_sink clock root_name =
+  let root = new_span root_name (clock ()) in
+  {
+    sk_clock = clock;
+    sk_root = root;
+    sk_stack = [ root ];
+    sk_gauges = Hashtbl.create 16;
+    sk_gauge_order = [];
+  }
+
 (* Default to the monotonic clock: gettimeofday can step backwards
    (NTP) mid-trace, producing negative durations. Tests still inject
    dyadic fake clocks through [?clock]. *)
-let enable ?(clock = Mclock.now_s) () =
-  let root =
-    {
-      sp_name = "trace";
-      sp_start = clock ();
-      sp_stop = nan;
-      sp_counters = [];
-      sp_children = [];
-    }
-  in
-  sink ()
-  := Some
-       {
-         sk_clock = clock;
-         sk_root = root;
-         sk_stack = [ root ];
-         sk_gauges = Hashtbl.create 16;
-         sk_gauge_order = [];
-       }
+let enable ?(clock = Mclock.now_s) () = sink () := Some (new_sink clock "trace")
 
 let disable () = sink () := None
 
@@ -90,39 +91,65 @@ let gauge name v =
 
 let gauge_int name v = gauge name (float_of_int v)
 
+(* Every closed span, traced or not, observes its one duration into
+   zkml_phase_seconds{phase=<span name>}. Each domain resolves a name
+   once into [tbl]; a 16-slot memo hit by physical equality lets a
+   literal-named hot span (ntt, msm) skip even that hash lookup. *)
+let phase_hists =
+  Domain.DLS.new_key (fun () -> (Hashtbl.create 32, Array.make 16 None))
+
+let phase_hist name =
+  let tbl, memo = Domain.DLS.get phase_hists in
+  let n = String.length name in
+  let i = (n + if n = 0 then 0 else Char.code name.[0]) land 15 in
+  match memo.(i) with
+  | Some (m, h) when m == name -> h
+  | _ ->
+      let h =
+        match Hashtbl.find_opt tbl name with
+        | Some h -> h
+        | None ->
+            let h =
+              Metrics.histogram
+                ~labels:[ ("phase", name) ]
+                ~help:"Wall time of each closed span, by span name"
+                "zkml_phase_seconds"
+            in
+            Hashtbl.add tbl name h;
+            h
+      in
+      memo.(i) <- Some (name, h);
+      h
+
 module Span = struct
   let with_ ~name f =
+    let h = phase_hist name in
     match !(sink ()) with
-    | None -> f ()
+    | None -> (
+        (* no [Fun.protect] here: its closure would cost the hot spans
+           (ntt, msm) more minor words than the span itself *)
+        let t0 = Mclock.now_s () in
+        match f () with
+        | v ->
+            Metrics.observe h (Mclock.elapsed_s ~since:t0);
+            v
+        | exception e ->
+            Metrics.observe h (Mclock.elapsed_s ~since:t0);
+            raise e)
     | Some s ->
-        let sp =
-          {
-            sp_name = name;
-            sp_start = s.sk_clock ();
-            sp_stop = nan;
-            sp_counters = [];
-            sp_children = [];
-          }
-        in
+        let sp = new_span name (s.sk_clock ()) in
         (match s.sk_stack with
         | parent :: _ -> parent.sp_children <- sp :: parent.sp_children
         | [] -> s.sk_root.sp_children <- sp :: s.sk_root.sp_children);
         s.sk_stack <- sp :: s.sk_stack;
-        let finish () =
-          sp.sp_stop <- s.sk_clock ();
-          let rec pop = function
-            | top :: rest -> if top == sp then rest else pop rest
-            | [] -> [ s.sk_root ]
-          in
-          s.sk_stack <- pop s.sk_stack
-        in
-        (match f () with
-        | v ->
-            finish ();
-            v
-        | exception e ->
-            finish ();
-            raise e)
+        Fun.protect f ~finally:(fun () ->
+            sp.sp_stop <- s.sk_clock ();
+            Metrics.observe h (sp.sp_stop -. sp.sp_start);
+            let rec pop = function
+              | top :: rest -> if top == sp then rest else pop rest
+              | [] -> [ s.sk_root ]
+            in
+            s.sk_stack <- pop s.sk_stack)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -309,37 +336,12 @@ module Par = struct
     match h with
     | None -> f ()
     | Some { pr_clock; pr_slots } ->
-        let root =
-          {
-            sp_name = "worker";
-            sp_start = pr_clock ();
-            sp_stop = nan;
-            sp_counters = [];
-            sp_children = [];
-          }
-        in
-        let s =
-          {
-            sk_clock = pr_clock;
-            sk_root = root;
-            sk_stack = [ root ];
-            sk_gauges = Hashtbl.create 4;
-            sk_gauge_order = [];
-          }
-        in
+        let s = new_sink pr_clock "worker" in
         sink () := Some s;
-        let finish () =
-          root.sp_stop <- pr_clock ();
-          sink () := None;
-          pr_slots.(i).captured <- Some s
-        in
-        (match f () with
-        | v ->
-            finish ();
-            v
-        | exception e ->
-            finish ();
-            raise e)
+        Fun.protect f ~finally:(fun () ->
+            s.sk_root.sp_stop <- pr_clock ();
+            sink () := None;
+            pr_slots.(i).captured <- Some s)
 
   let join h =
     match h with
@@ -370,28 +372,8 @@ module Par = struct
               pr_slots)
 end
 
-(* ------------------------------------------------------------------ *)
-(* JSON helpers (no external dependency; output is deterministic) *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
+let json_escape = Metrics.json_escape
+let json_float = Metrics.json_float
 
 let json_obj_of_counters cs =
   "{"

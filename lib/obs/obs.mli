@@ -2,10 +2,11 @@
 
     One global sink records hierarchical wall-clock spans, per-span
     counters and global gauges. Every recording entry point checks a
-    single ref and allocates nothing while disabled, so instrumentation
-    can stay in the hot path permanently. Reports export to
-    chrome-trace JSON (about:tracing / Perfetto), a flat summary JSON,
-    or a pretty-printed tree. *)
+    single ref and records nothing while disabled, so instrumentation
+    can stay in the hot path permanently. Spans are also the only phase
+    timer: every closed span feeds {!Metrics}, traced or not. Reports
+    export to chrome-trace JSON (about:tracing / Perfetto), a flat
+    summary JSON, or a pretty-printed tree. *)
 
 type clock = unit -> float
 
@@ -17,14 +18,17 @@ val enable : ?clock:clock -> unit -> unit
 val disable : unit -> unit
 
 val enabled : unit -> bool
-(** One ref read; instrumented hot paths branch on this to keep the
-    disabled path allocation-free. *)
+(** One ref read; code that computes values only for a counter
+    branches on this to skip the work while disabled. *)
 
 module Span : sig
   val with_ : name:string -> (unit -> 'a) -> 'a
   (** [with_ ~name f] runs [f] inside a span nested under the current
-      one, recording wall time even if [f] raises. When the sink is
-      disabled this is exactly [f ()]. *)
+      one, recording wall time even if [f] raises. The span reads its
+      clock once at each end — the sink's clock when tracing, else
+      {!Mclock} — and observes that one duration into
+      [zkml_phase_seconds{phase=name}] whether or not tracing is on;
+      when the sink is disabled nothing else is recorded. *)
 end
 
 val count : string -> int -> unit

@@ -551,7 +551,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
      of the compiled program. *)
   let prove_gen ~tamper ~interp scheme_params keys ~(instance : F.t array array)
       ~(advice : F.t array -> F.t array array) ~rng =
-    Metrics.phase "prove" @@ fun () ->
     Metrics.inc ~help:"Proofs produced" "zkml_proofs_total" 1.0;
     Obs.Span.with_ ~name:"prove" @@ fun () ->
     let circuit = keys.circuit in
@@ -561,7 +560,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     let absorb label = Array.iter (fun c -> T.absorb_bytes transcript ~label (G.to_bytes c)) in
     let num_adv = Circuit.num_advice circuit in
     let adv_polys, adv_commits, challenges, advice_grid =
-      Metrics.phase "commit" @@ fun () ->
       Obs.Span.with_ ~name:"advice-commit" @@ fun () ->
       Obs.count "advice.cols" num_adv;
       (* --- phase 0 advice --- *)
@@ -691,7 +689,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       (look_f, table_t, mult)
     in
     let mult_polys, mult_commits =
-      Metrics.phase "commit" @@ fun () ->
       Obs.Span.with_ ~name:"lookup-commit" @@ fun () ->
       let polys = P.interpolate_many keys.domain (Array.mapi (committed Mult) mult) in
       (polys, Scheme.commit_many scheme_params polys)
@@ -850,7 +847,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
        (* Reference oracle: walk the Expr.t ASTs through closures for
           every row. Reached only through [Testing.prove_interp], so
           tests can assert the compiled program is byte-identical. *)
-       Metrics.phase "quotient_interp" @@ fun () ->
        Obs.Span.with_ ~name:"quotient.interp" @@ fun () ->
        Obs.count "quotient.rows" ext_n;
        let rot = rot_index ~ext_n ~factor in
@@ -893,7 +889,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
        (* Compiled path: run the flat register program from keygen over
           the extended-coset column bank — no per-row closures, no AST
           walks. The bank layout matches Evaluator.layout. *)
-       Metrics.phase "quotient_compiled" @@ fun () ->
        Obs.Span.with_ ~name:"quotient.compiled" @@ fun () ->
        Obs.count "quotient.rows" ext_n;
        let bank =
@@ -1198,7 +1193,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
     end
 
   let verify scheme_params keys ~(instance : F.t array array) proof =
-    Metrics.phase "verify" @@ fun () ->
     Obs.Span.with_ ~name:"verify" @@ fun () ->
     match verify_collect scheme_params keys ~instance proof with
     | None -> false
@@ -1343,11 +1337,6 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
      circuits is exactly as sound as [verify_many]'s combination across
      proofs. *)
 
-  let segment_seconds phase =
-    Metrics.histogram
-      ~labels:[ ("phase", phase) ]
-      ~help:"Per-segment wall-clock by phase" "zkml_segment_seconds"
-
   let prove_segmented scheme_params (jobs : (keys * prove_job) list) =
     Obs.Span.with_ ~name:"prove_segmented" @@ fun () ->
     Obs.count "segments.proved" (List.length jobs);
@@ -1355,11 +1344,9 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       ~labels:[ ("op", "prove") ]
       ~help:"Batch sizes seen by prove_many/verify_many" "zkml_batch_size"
       (float_of_int (List.length jobs));
-    let h = segment_seconds "prove" in
     List.mapi
       (fun i (keys, job) ->
         Obs.Span.with_ ~name:(Printf.sprintf "segment-%d" i) @@ fun () ->
-        Metrics.time h @@ fun () ->
         prove scheme_params keys ~instance:job.job_instance
           ~advice:job.job_advice ~rng:job.job_rng)
       jobs
@@ -1375,11 +1362,10 @@ module Make (Scheme : Zkml_commit.Scheme_intf.S) = struct
       ~(batch : (keys * F.t array array * proof) list) =
     Obs.Span.with_ ~name:"verify_segmented" @@ fun () ->
     Obs.count "segments.verified" (List.length batch);
-    let h = segment_seconds "verify" in
     let collected =
       List.map
         (fun (keys, instance, proof) ->
-          Metrics.time h @@ fun () ->
+          Obs.Span.with_ ~name:"segment-verify" @@ fun () ->
           verify_collect scheme_params keys ~instance proof)
         batch
     in

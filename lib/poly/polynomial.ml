@@ -186,7 +186,7 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
     if n >= 2 then begin
       let bsz = min n (1 lsl ntt_block_log) in
       let nblocks = n / bsz in
-      if Zkml_obs.Obs.enabled () then Zkml_obs.Obs.count "ntt.blocks" nblocks;
+      Zkml_obs.Obs.count "ntt.blocks" nblocks;
       let seq_below = if n >= 1 lsl 13 then 2 else max_int in
       Pool.parallel_for ~chunk:1 ~seq_below nblocks (fun b ->
           let base = b * bsz in
@@ -235,23 +235,11 @@ module Make (F : Zkml_ff.Field_intf.S) = struct
     end
 
   (* Every forward/inverse/coset transform funnels through this leaf, so
-     one instrumentation point covers the whole "fft" op class of the
-     cost model. The disabled branch is a single ref read; the phase
-     histogram is always on (pre-resolved handle, one mutex op per
-     transform). *)
-  let ntt_hist =
-    Zkml_obs.Metrics.histogram
-      ~labels:[ ("phase", "ntt") ]
-      ~help:"Per-phase wall time of the proving/verifying pipeline"
-      "zkml_phase_seconds"
-
+     one span covers the whole "fft" op class of the cost model. *)
   let ntt_with_table a tw =
-    Zkml_obs.Metrics.time ntt_hist @@ fun () ->
-    if Zkml_obs.Obs.enabled () then
-      Zkml_obs.Obs.Span.with_ ~name:"ntt" (fun () ->
-          Zkml_obs.Obs.count "ntt.size" (Array.length a);
-          ntt_core a tw)
-    else ntt_core a tw
+    Zkml_obs.Obs.Span.with_ ~name:"ntt" @@ fun () ->
+    Zkml_obs.Obs.count "ntt.size" (Array.length a);
+    ntt_core a tw
 
   (** Forward NTT: coefficients -> evaluations over the domain, in place.
       [Array.length a] must equal the domain size. *)

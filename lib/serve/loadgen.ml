@@ -73,10 +73,9 @@ let schedule ~rng ~models n =
 (* A tampered proof that must draw verdict 1: bump one public instance
    value. The proof still parses and the header still rebuilds, but the
    proof no longer binds the altered instance — well-formed and false.
-   Handles both proof formats, so a daemon running with ZKML_SEGMENTS
-   set (corpus proofs come back segmented) is load-testable too: there
-   the bumped slot is a boundary value of the last segment, which the
-   seam equality check rejects. *)
+   Handles both proof formats, so segmented corpus proofs (from
+   Prove_seg) are load-testable too: there the bumped slot is a boundary
+   value of the last segment, which the seam equality check rejects. *)
 let tamper_proof text =
   if Seg_proof.looks_segmented text then
     match Seg_proof.of_string text with

@@ -9,7 +9,6 @@
     order, numbers are canonical decimals, the file ends in a newline
     (see DESIGN.md "Untrusted inputs"). *)
 
-module T = Zkml_tensor.Tensor
 module Fx = Zkml_fixed.Fixed
 module Zoo = Zkml_models.Zoo
 module Opt = Zkml_compiler.Optimizer
@@ -157,10 +156,7 @@ let of_string text =
           else Ok ()
         in
         let* pln, hex = get "proof" in
-        let* pf_proof =
-          guard ~offset:(Line pln) Invalid_encoding (fun () ->
-              Zkml_util.Bytes_util.of_hex hex)
-        in
+        let* pf_proof = hex_field ~offset:(Line pln) ~what:"proof" hex in
         Ok
           {
             pf_model;
@@ -188,20 +184,6 @@ let read_file path =
    prove seconds, proof bytes). *)
 let prove (m : Zoo.model) backend seed =
   let inputs = Zoo.sample_inputs ~seed:(Int64.of_int seed) m in
-  (* rebuild artifacts to recover the instance column *)
-  let instance_for spec_fn ncols k =
-    let qinputs = List.map (T.map (Fx.quantize m.Zoo.cfg)) inputs in
-    let exec = Zkml_nn.Quant_exec.run m.Zoo.cfg m.Zoo.graph ~inputs:qinputs in
-    let lowered =
-      Zkml_compiler.Lower.lower_with ~spec_fn ~cfg:m.Zoo.cfg ~ncols
-        ~counting:false m.Zoo.graph exec
-    in
-    let built =
-      Zkml_compiler.Layouter.finalize lowered.Zkml_compiler.Lower.layouter
-        ~blinding:Opt.blinding ~k
-    in
-    built.Zkml_compiler.Layouter.instance_col
-  in
   let (module X) = B.select backend in
   let params = Lazy.force X.params in
   let r =
@@ -211,9 +193,8 @@ let prove (m : Zoo.model) backend seed =
   if not r.X.Pipe.verified then failwith "self-verification failed";
   let bytes = X.Proto.proof_to_bytes r.X.Pipe.proof in
   let plan = r.X.Pipe.plan in
-  let instance_ints = instance_for plan.Opt.spec_fn plan.Opt.ncols plan.Opt.k in
   ( to_string ~backend ~model_name:m.Zoo.name ~cfg:m.Zoo.cfg ~spec:plan.Opt.spec
-      ~ncols:plan.Opt.ncols ~k:plan.Opt.k ~instance_ints
+      ~ncols:plan.Opt.ncols ~k:plan.Opt.k ~instance_ints:r.X.Pipe.instance_ints
       ~proof_hex:(Zkml_util.Bytes_util.to_hex bytes),
     r.X.Pipe.prove_s,
     r.X.Pipe.proof_bytes )

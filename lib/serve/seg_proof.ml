@@ -77,24 +77,6 @@ let render sp =
   to_string ~backend:sp.sp_backend ~model_name:sp.sp_model ~cfg:sp.sp_cfg
     ~spec:sp.sp_spec ~ncols:sp.sp_ncols ~seams:sp.sp_seams ~groups:sp.sp_groups
 
-(* [Bytes_util.of_hex] also accepts uppercase digits; the canonical
-   format is lowercase-only, so hex fields are validated by hand first —
-   otherwise an uppercase mutant would decode yet re-render differently,
-   breaking the accepted ⇒ re-encodes-to-itself oracle. *)
-let strict_hex ~ln ~what v =
-  let open Err in
-  let ok =
-    String.length v > 0
-    && String.for_all
-         (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-         v
-  in
-  if not ok then
-    failf ~offset:(Line ln) Invalid_encoding "%s: invalid lowercase hex" what
-  else
-    guard ~offset:(Line ln) Invalid_encoding (fun () ->
-        Zkml_util.Bytes_util.of_hex v)
-
 (* Total parser: a strict line cursor in writer order. Any deviation —
    missing line, wrong key, non-canonical number, out-of-sequence seam
    or segment index — is a typed error with the offending line. *)
@@ -181,7 +163,7 @@ let of_string text =
                 failf ~offset:(Line ln) Invalid_encoding
                   "seam digest must be 64 hex chars"
             in
-            let* d = strict_hex ~ln ~what:"seam" hex in
+            let* d = hex_field ~offset:(Line ln) ~what:"seam" hex in
             seam_lines (d :: acc) (i + 1)
     in
     let* seam_list = seam_lines [] 0 in
@@ -212,7 +194,7 @@ let of_string text =
           else Ok ()
         in
         let* pln, hex = field "proof" in
-        let* sg_proof = strict_hex ~ln:pln ~what:"proof" hex in
+        let* sg_proof = hex_field ~offset:(Line pln) ~what:"proof" hex in
         group_lines
           ({ sg_k; sg_instance = Array.of_list inst; sg_proof } :: acc)
           (i + 1)
@@ -266,12 +248,6 @@ type proved = {
   p_mono_rows : int;  (** content rows of the monolithic circuit *)
   p_ks : int list;  (** per-segment k actually used *)
 }
-
-let witness_seconds =
-  lazy
-    (Metrics.histogram
-       ~labels:[ ("phase", "witness") ]
-       ~help:"Per-segment wall-clock by phase" "zkml_segment_seconds")
 
 (* Layout search shared with the monolithic path: same optimizer, same
    calibrated cost model, so spec/ncols match what `zkml prove` would
@@ -344,7 +320,6 @@ let prove (m : Zoo.model) backend seed ~segments =
         in
         let entry, k = keys_at sg.Seg.sg_k in
         let w =
-          Metrics.time (Lazy.force witness_seconds) @@ fun () ->
           X.Pipe.witness_ints ~spec ~ncols ~k ~cfg sg.Seg.sg_graph
             (List.map
                (fun id -> exec.Zkml_nn.Quant_exec.values.(id))

@@ -105,16 +105,6 @@ let handle_prove_seg ~backend ~model ~segments ~seeds =
              p.Seg_proof.p_text)
            seeds)
 
-(* ZKML_SEGMENTS=<n> reroutes plain Prove requests through the
-   segmented prover, so existing clients opt in by environment. *)
-let env_segments () =
-  match Sys.getenv_opt "ZKML_SEGMENTS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ -> None)
-  | None -> None
-
 let handle_prove ~backend ~model ~seeds =
   match zoo_model model with
   | Error e -> Wire.Verdict { code = 2; detail = Err.to_string e }
@@ -218,10 +208,8 @@ let process req =
     match req with
     | Wire.Ping -> Wire.Pong
     | Wire.Shutdown -> Wire.Stopping
-    | Wire.Prove { backend; model; seeds; _ } -> (
-        match env_segments () with
-        | Some segments -> handle_prove_seg ~backend ~model ~segments ~seeds
-        | None -> handle_prove ~backend ~model ~seeds)
+    | Wire.Prove { backend; model; seeds; _ } ->
+        handle_prove ~backend ~model ~seeds
     | Wire.Prove_seg { backend; model; segments; seeds; _ } ->
         handle_prove_seg ~backend ~model ~segments ~seeds
     | Wire.Verify { model; proof; _ } -> handle_verify ~model ~proof

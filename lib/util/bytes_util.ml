@@ -10,7 +10,6 @@ let of_hex s =
     match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
     | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
     | _ -> invalid_arg "Bytes_util.of_hex: bad digit"
   in
   String.init (n / 2) (fun i ->

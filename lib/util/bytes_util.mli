@@ -4,7 +4,8 @@ val to_hex : string -> string
 (** Lowercase hex encoding. *)
 
 val of_hex : string -> string
-(** Inverse of [to_hex]. Raises [Invalid_argument] on malformed input. *)
+(** Inverse of [to_hex]: lowercase digits only, so every byte string has
+    one spelling. Raises [Invalid_argument] on malformed input. *)
 
 val int64_le : int64 -> string
 (** 8-byte little-endian encoding. *)

@@ -163,6 +163,12 @@ let bool_field ?offset ~what s =
   | Some v -> Ok v
   | None -> failf ?offset Bad_field "%s: not a bool: %S" what s
 
+let hex_field ?offset ~what s =
+  match Bytes_util.of_hex s with
+  | b when s <> "" -> Ok b
+  | _ | (exception Invalid_argument _) ->
+      failf ?offset Invalid_encoding "%s: invalid lowercase hex" what
+
 (* ------------------------------------------------------------------ *)
 (* Length-checked binary reader *)
 

@@ -106,6 +106,11 @@ val finite_float_field :
 
 val bool_field : ?offset:offset -> what:string -> string -> (bool, t) result
 
+val hex_field : ?offset:offset -> what:string -> string -> (string, t) result
+(** Non-empty lowercase hex decoded to bytes ([Invalid_encoding]
+    otherwise). Uppercase is refused, so a decoded field re-renders to
+    the text it came from. *)
+
 (** {1 Length-checked binary consumption} *)
 
 module Reader : sig

@@ -225,24 +225,12 @@ let mnist_proof =
      let r = Pipe.run ~cfg:m.Zoo.cfg ~params:kzg_params m.Zoo.graph inputs in
      assert r.Pipe.verified;
      let bytes = Pipe.Proto.proof_to_bytes r.Pipe.proof in
-     let qinputs = List.map (T.map (Fx.quantize m.Zoo.cfg)) inputs in
-     let exec = Zkml_nn.Quant_exec.run m.Zoo.cfg m.Zoo.graph ~inputs:qinputs in
-     let lowered =
-       Zkml_compiler.Lower.lower_with ~spec_fn:r.Pipe.plan.Opt.spec_fn
-         ~cfg:m.Zoo.cfg ~ncols:r.Pipe.plan.Opt.ncols ~counting:false
-         m.Zoo.graph exec
-     in
-     let built =
-       Zkml_compiler.Layouter.finalize lowered.Zkml_compiler.Lower.layouter
-         ~blinding:Opt.blinding ~k:r.Pipe.plan.Opt.k
-     in
-     let instance_ints = built.Zkml_compiler.Layouter.instance_col in
      let keys =
        Pipe.rebuild_keys kzg_params ~spec:r.Pipe.plan.Opt.spec
          ~ncols:r.Pipe.plan.Opt.ncols ~k:r.Pipe.plan.Opt.k ~cfg:m.Zoo.cfg
          m.Zoo.graph
      in
-     (bytes, keys, instance_ints))
+     (bytes, keys, r.Pipe.instance_ints))
 
 let verdict bytes =
   let proof, keys, instance_ints = Lazy.force mnist_proof in
@@ -397,6 +385,7 @@ let test_fuzz_wire () =
    re-encodes byte-identically) just like model text and wire frames. *)
 
 module SPF = Zkml_serve.Seg_proof
+module PF = Zkml_serve.Proof_file
 
 let seg_mnist = lazy (Zoo.mnist ())
 let seg_honest = lazy (SPF.prove (Lazy.force seg_mnist) B.Kzg 1234 ~segments:3)
@@ -480,6 +469,21 @@ let test_seg_pins () =
       (SPF.of_string
          (patch_line text ~from:("seam 0 " ^ seam0)
             ~to_:(Some ("seam 0 " ^ upper))));
+  (* pinned find: the monolithic format shares the decoder, so an
+     uppercase proof line of an honest zkml-proof file is refused too,
+     where it once parsed and re-rendered as a different text *)
+  let pf_text, _, _ = PF.prove (Lazy.force seg_mnist) B.Kzg 1234 in
+  let pf =
+    match PF.of_string pf_text with
+    | Ok pf -> pf
+    | Error e -> Alcotest.failf "honest proof file: %s" (Err.to_string e)
+  in
+  Alcotest.(check string) "proof file canonical" pf_text (PF.render pf);
+  let proof_hex = Zkml_util.Bytes_util.to_hex pf.PF.pf_proof in
+  expect_code "uppercase proof hex" Err.Invalid_encoding
+    (PF.of_string
+       (patch_line pf_text ~from:("proof " ^ proof_hex)
+          ~to_:(Some ("proof " ^ String.uppercase_ascii proof_hex))));
   (* a flipped digest nibble parses but is rejected by the seam check *)
   let flipped =
     let b = Bytes.of_string seam0 in

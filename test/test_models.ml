@@ -132,7 +132,7 @@ let test_proof_bytes_roundtrip () =
   let r = Pipe.run ~cfg:m.Zoo.cfg ~params:kzg_params m.Zoo.graph inputs in
   Alcotest.(check bool) "proves" true r.Pipe.verified;
   let bytes = Pipe.Proto.proof_to_bytes r.Pipe.proof in
-  (* recover the public instance exactly as the CLI does *)
+  (* recover the public instance independently of the run *)
   let qinputs = List.map (T.map (Fx.quantize m.Zoo.cfg)) inputs in
   let exec = Zkml_nn.Quant_exec.run m.Zoo.cfg m.Zoo.graph ~inputs:qinputs in
   let lowered =
@@ -145,6 +145,8 @@ let test_proof_bytes_roundtrip () =
       ~blinding:Opt.blinding ~k:r.Pipe.plan.Opt.k
   in
   let instance_ints = built.Zkml_compiler.Layouter.instance_col in
+  Alcotest.(check (array int))
+    "run carries the instance" instance_ints r.Pipe.instance_ints;
   let keys =
     Pipe.rebuild_keys kzg_params ~spec:r.Pipe.plan.Opt.spec
       ~ncols:r.Pipe.plan.Opt.ncols ~k:r.Pipe.plan.Opt.k ~cfg:m.Zoo.cfg

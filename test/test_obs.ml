@@ -414,6 +414,92 @@ let test_log_sink () =
   Alcotest.(check (option (float 0.0))) "float field" (Some 1.5) (J.mem_float "f" d);
   Alcotest.(check bool) "ts present" true (J.mem_float "ts" (parse (List.nth lines 1)) <> None)
 
+(* One instrument: a closed span is the only input to
+   zkml_phase_seconds, so a traced mnist prove + verify must agree with
+   the histograms exactly — one observation per span node (nested and
+   pool-spliced ones included) and the same summed duration — under
+   both backends and at 1 and 4 pool domains. Untraced, the same run
+   still fills the hot phases. *)
+let test_spans_feed_phase_histograms () =
+  let module B = Zkml_serve.Backends in
+  let module Zoo = Zkml_models.Zoo in
+  let m = Zoo.mnist () in
+  let inputs = Zoo.sample_inputs m in
+  let phase snap name =
+    match
+      Metrics.find_series ~labels:[ ("phase", name) ] snap "zkml_phase_seconds"
+    with
+    | Some (Metrics.Hist_v h) -> h
+    | _ -> Alcotest.failf "no zkml_phase_seconds{phase=%s}" name
+  in
+  let saved = Pool.jobs () in
+  Fun.protect ~finally:(fun () -> Pool.set_jobs saved) @@ fun () ->
+  List.iter
+    (fun backend ->
+      let (module X : B.S) = B.select backend in
+      let params = Lazy.force X.params in
+      let run () =
+        let r = X.Pipe.run ~cfg:m.Zoo.cfg ~params m.Zoo.graph inputs in
+        Alcotest.(check bool) "verified" true r.X.Pipe.verified
+      in
+      Metrics.reset ();
+      run ();
+      let snap = Metrics.snapshot () in
+      List.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "untraced %s observed" name)
+            true
+            ((phase snap name).Metrics.h_count > 0))
+        [ "prove"; "ntt"; "msm"; "open" ];
+      List.iter
+        (fun jobs ->
+          Pool.set_jobs jobs;
+          Metrics.reset ();
+          let (), report = Obs.with_enabled run in
+          let nodes : (string, int * float) Hashtbl.t = Hashtbl.create 64 in
+          let rec visit (n : Obs.node) =
+            let c, d =
+              Option.value ~default:(0, 0.0) (Hashtbl.find_opt nodes n.Obs.name)
+            in
+            Hashtbl.replace nodes n.Obs.name (c + 1, d +. n.Obs.dur_s);
+            List.iter visit n.Obs.children
+          in
+          List.iter visit report.Obs.spans;
+          let snap = Metrics.snapshot () in
+          let tag name =
+            Printf.sprintf "%s jobs=%d %s" (B.backend_name backend) jobs name
+          in
+          List.iter
+            (fun name ->
+              Alcotest.(check bool) (tag name ^ " traced") true
+                (Hashtbl.mem nodes name))
+            [ "prove"; "ntt"; "msm"; "open" ];
+          Hashtbl.iter
+            (fun name (count, dur) ->
+              let h = phase snap name in
+              Alcotest.(check int) (tag name ^ " count") count
+                h.Metrics.h_count;
+              Alcotest.(check (float (1e-9 *. Float.max 1.0 dur)))
+                (tag name ^ " seconds") dur h.Metrics.h_sum)
+            nodes;
+          (* and no phase was timed outside the trace *)
+          List.iter
+            (fun (f : Metrics.family_snap) ->
+              if f.Metrics.f_name = "zkml_phase_seconds" then
+                List.iter
+                  (fun (srs : Metrics.series_snap) ->
+                    match (srs.Metrics.s_value, srs.Metrics.s_labels) with
+                    | Metrics.Hist_v h, [ ("phase", name) ]
+                      when h.Metrics.h_count > 0 ->
+                        Alcotest.(check bool) (tag name ^ " traced") true
+                          (Hashtbl.mem nodes name)
+                    | _ -> ())
+                  f.Metrics.f_series)
+            snap)
+        [ 1; 4 ])
+    [ B.Kzg; B.Ipa ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -448,6 +534,8 @@ let () =
             test_pool_merge;
           Alcotest.test_case "prometheus text format" `Quick
             test_prometheus_format;
+          Alcotest.test_case "spans feed phase histograms" `Quick
+            test_spans_feed_phase_histograms;
         ] );
       ( "log",
         [ Alcotest.test_case "sink override and JSON lines" `Quick test_log_sink ] );
